@@ -11,8 +11,7 @@
 //!
 //! ```text
 //! sim_hotpath [--smoke] [--iters N] [--ops N] [--out PATH]
-//!             [--sink null|ring] [--sched heap|wheel]
-//!             [--check BASELINE.json] [--tol PCT]
+//!             [--sink null|ring] [--check BASELINE.json] [--tol PCT]
 //! ```
 //!
 //! `--smoke` is the CI mode: a tiny trace and a single iteration, so the
@@ -30,14 +29,13 @@
 //! `docs/observability.md`. Comparing a ring run to a null baseline with
 //! `--check` is meaningless — the regression gate is for `--sink null`.
 //!
-//! `--sched` selects the event-queue implementation (default `heap`);
-//! every scheduler produces bit-identical simulation results, so A/B
-//! runs of this flag measure pure event-queue overhead.
+//! The JSON's `"scheduler":"heap"` field is a constant (the simulator has
+//! one event queue); it stays so the `senss.sim_hotpath.v1` schema, and
+//! every committed baseline, keeps the same fields.
 
 use senss_bench::benchkit::black_box;
 use senss_harness::json::Value;
 use senss_harness::{JobSpec, SecurityMode};
-use senss_sim::config::SchedulerKind;
 use senss_trace::RingSink;
 use senss_workloads::Workload;
 use std::time::Instant;
@@ -100,17 +98,10 @@ fn summary(samples: &[f64]) -> Value {
     ])
 }
 
-fn run_config(
-    config: Config,
-    ops: usize,
-    iters: usize,
-    sink: SinkChoice,
-    sched: SchedulerKind,
-) -> Measured {
+fn run_config(config: Config, ops: usize, iters: usize, sink: SinkChoice) -> Measured {
     let job = JobSpec::new(config.workload, config.processors, 1 << 20)
         .with_mode(config.mode)
-        .with_ops(ops)
-        .with_scheduler(sched);
+        .with_ops(ops);
     let mut events = 0;
     let mut sim_cycles = 0;
     let mut events_per_sec = Vec::with_capacity(iters);
@@ -157,7 +148,7 @@ fn run_config(
 fn usage() -> ! {
     eprintln!(
         "usage: sim_hotpath [--smoke] [--iters N] [--ops N] [--out PATH] \
-         [--sink null|ring] [--sched heap|wheel] [--check BASELINE.json] [--tol PCT]"
+         [--sink null|ring] [--check BASELINE.json] [--tol PCT]"
     );
     std::process::exit(2);
 }
@@ -231,7 +222,6 @@ fn main() {
     let mut ops: Option<usize> = None;
     let mut out = "BENCH_sim.json".to_string();
     let mut sink = SinkChoice::Null;
-    let mut sched = SchedulerKind::default();
     let mut check: Option<String> = None;
     let mut tol_pct = 2.0f64;
     let mut args = std::env::args().skip(1);
@@ -242,13 +232,6 @@ fn main() {
                 sink = match args.next().as_deref() {
                     Some("null") => SinkChoice::Null,
                     Some("ring") => SinkChoice::Ring,
-                    _ => usage(),
-                }
-            }
-            "--sched" => {
-                sched = match args.next().as_deref() {
-                    Some("heap") => SchedulerKind::Heap,
-                    Some("wheel") => SchedulerKind::Wheel,
                     _ => usage(),
                 }
             }
@@ -285,12 +268,8 @@ fn main() {
     let modes = [SecurityMode::Baseline, SecurityMode::senss()];
 
     eprintln!(
-        "sim_hotpath: {} configs x {iters} iteration(s), {ops} ops/core, {} scheduler{}",
+        "sim_hotpath: {} configs x {iters} iteration(s), {ops} ops/core{}",
         workloads.len() * processors.len() * modes.len(),
-        match sched {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Wheel => "wheel",
-        },
         if smoke { " (smoke)" } else { "" }
     );
 
@@ -307,7 +286,6 @@ fn main() {
                     ops,
                     iters,
                     sink,
-                    sched,
                 );
                 println!(
                     "{:<8} {:>2}P {:<10} {:>12.0} events/s (median of {iters}), {} events/run",
@@ -355,16 +333,7 @@ fn main() {
                 .to_string(),
             ),
         ),
-        (
-            "scheduler".to_string(),
-            Value::Str(
-                match sched {
-                    SchedulerKind::Heap => "heap",
-                    SchedulerKind::Wheel => "wheel",
-                }
-                .to_string(),
-            ),
-        ),
+        ("scheduler".to_string(), Value::Str("heap".to_string())),
         ("iterations".to_string(), Value::UInt(iters as u64)),
         ("ops_per_core".to_string(), Value::UInt(ops as u64)),
         ("configs".to_string(), Value::Arr(cells)),

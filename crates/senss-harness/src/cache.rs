@@ -108,14 +108,19 @@ impl ResultCache {
     }
 
     /// Records a result, appending it to the JSONL file.
+    ///
+    /// The line and its newline go out in one `write` on an `O_APPEND`
+    /// handle, so processes appending to one cache file at once cannot
+    /// interleave their lines.
     pub fn put(&mut self, key: &str, stats: &Stats) -> std::io::Result<()> {
-        let line = Value::Obj(vec![
+        let mut line = Value::Obj(vec![
             ("key".into(), Value::Str(key.to_string())),
             ("stats".into(), encode_stats(stats)),
         ])
         .encode();
+        line.push('\n');
         let mut f = OpenOptions::new().create(true).append(true).open(&self.path)?;
-        writeln!(f, "{line}")?;
+        f.write_all(line.as_bytes())?;
         self.entries.insert(key.to_string(), stats.clone());
         Ok(())
     }
@@ -239,6 +244,38 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c.get("ok").unwrap().total_cycles, 7);
         assert_eq!(c.skipped(), 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Concurrent appenders, each with its own handle (as separate
+    /// processes sharing one cache file have), never tear a line.
+    #[test]
+    fn concurrent_appends_keep_lines_whole() {
+        let dir = tmp_dir("concurrent");
+        const THREADS: u64 = 8;
+        const PUTS: u64 = 1000;
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (dir, start) = (&dir, &start);
+                s.spawn(move || {
+                    let mut c = ResultCache::open(dir).unwrap();
+                    start.wait();
+                    for i in 0..PUTS {
+                        let stats = Stats {
+                            total_cycles: t * PUTS + i,
+                            core_ops: vec![i; 8],
+                            ..Stats::default()
+                        };
+                        c.put(&format!("t{t}-{i}"), &stats).unwrap();
+                    }
+                });
+            }
+        });
+        let c = ResultCache::open(&dir).unwrap();
+        assert_eq!(c.skipped(), 0, "no appended line may be torn");
+        assert_eq!(c.len() as u64, THREADS * PUTS);
+        assert_eq!(c.get("t3-7").unwrap().total_cycles, 3 * PUTS + 7);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -133,9 +133,6 @@ pub fn decode_spec(obj: &Value) -> Option<JobSpec> {
             None => None,
             Some(v) => Some(crate::spec::TraceCapture::from_tag(v.as_str()?)?),
         },
-        // Not on the wire: the scheduler cannot change results, so
-        // decoded jobs run under the default (see `JobSpec::scheduler`).
-        scheduler: Default::default(),
     })
 }
 

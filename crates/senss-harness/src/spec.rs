@@ -20,7 +20,7 @@ use senss_backends::{
 };
 use senss_crypto::sha256::Sha256;
 use senss_memprot::{MemProtConfig, MemProtPolicy};
-use senss_sim::config::{CoherenceProtocol, SchedulerKind};
+use senss_sim::config::CoherenceProtocol;
 use senss_sim::trace::VecTrace;
 use senss_sim::{NullExtension, Stats, System, SystemConfig};
 use senss_trace::TraceSink;
@@ -377,11 +377,6 @@ pub struct JobSpec {
     /// [`canonical`](JobSpec::canonical)/the cache key: capture does not
     /// change the result, and cached stats stay valid either way.
     pub capture: Option<TraceCapture>,
-    /// Event-queue implementation to simulate with. Like `capture`, an
-    /// observation-side knob: every scheduler pops events in identical
-    /// order, so it is excluded from [`canonical`](JobSpec::canonical)
-    /// and the cache key — results are interchangeable across schedulers.
-    pub scheduler: SchedulerKind,
 }
 
 impl JobSpec {
@@ -397,7 +392,6 @@ impl JobSpec {
             ops_per_core: 10_000,
             seed: 42,
             capture: None,
-            scheduler: SchedulerKind::default(),
         }
     }
 
@@ -419,12 +413,6 @@ impl JobSpec {
         self
     }
 
-    /// Sets the event-queue implementation (see [`SchedulerKind`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> JobSpec {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Sets the per-core operation count.
     pub fn with_ops(mut self, ops_per_core: usize) -> JobSpec {
         self.ops_per_core = ops_per_core;
@@ -439,9 +427,7 @@ impl JobSpec {
 
     /// The materialized architectural configuration.
     pub fn system_config(&self) -> SystemConfig {
-        SystemConfig::e6000(self.cores, self.l2_bytes)
-            .with_coherence(self.coherence)
-            .with_scheduler(self.scheduler)
+        SystemConfig::e6000(self.cores, self.l2_bytes).with_coherence(self.coherence)
     }
 
     /// Materializes the per-core traces this job simulates. Public so
@@ -1090,7 +1076,6 @@ mod tests {
             ops_per_core: 500,
             seed: 0,
             capture: None,
-            scheduler: SchedulerKind::default(),
         }
         .run();
         assert!(stats.total_cycles > 0);

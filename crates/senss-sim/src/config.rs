@@ -16,23 +16,6 @@ pub enum CoherenceProtocol {
     WriteUpdate,
 }
 
-/// Which event-queue implementation drives the simulation loop.
-///
-/// Purely a simulator-performance knob: every implementation pops
-/// events in identical `(time, seq)` order, so the choice is invisible
-/// in statistics, traces, and snapshots (which deliberately do not
-/// record it — a snapshot restores under the restoring config's
-/// scheduler).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedulerKind {
-    /// Binary heap keyed by a packed `(time << 64) | seq` integer.
-    #[default]
-    Heap,
-    /// Calendar queue (time wheel): events bucketed by time window,
-    /// popped by scanning forward from the current horizon.
-    Wheel,
-}
-
 /// Full architectural configuration of the simulated SMP.
 ///
 /// The defaults mirror the paper's Figure 5 (a Sun E6000-class machine):
@@ -77,9 +60,6 @@ pub struct SystemConfig {
     pub hash_latency: u64,
     /// Data coherence protocol for shared-line writes.
     pub coherence: CoherenceProtocol,
-    /// Event-queue implementation (simulator-performance knob; does not
-    /// affect simulated behaviour).
-    pub scheduler: SchedulerKind,
 }
 
 impl SystemConfig {
@@ -113,7 +93,6 @@ impl SystemConfig {
             aes_latency: 80,
             hash_latency: 160,
             coherence: CoherenceProtocol::WriteInvalidate,
-            scheduler: SchedulerKind::default(),
         }
     }
 
@@ -121,12 +100,6 @@ impl SystemConfig {
     /// ablation).
     pub fn with_coherence(mut self, coherence: CoherenceProtocol) -> SystemConfig {
         self.coherence = coherence;
-        self
-    }
-
-    /// Switches the event-queue implementation (see [`SchedulerKind`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> SystemConfig {
-        self.scheduler = scheduler;
         self
     }
 

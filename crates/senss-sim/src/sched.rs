@@ -1,279 +1,182 @@
-//! Pluggable event-queue implementations for the simulation loop.
+//! The simulation loop's event queue: one binary min-heap of packed
+//! `u128` entries.
 //!
 //! The simulator's hot loop is "pop the earliest event, process it,
-//! push a few more". Every implementation here pops in exactly
-//! `(time, seq)` ascending order — `seq` is unique per entry, so the
-//! order is total and the scheduler choice is invisible to simulated
-//! behaviour; it is selected per run via
-//! [`crate::config::SchedulerKind`] and benchmarked in `sim_hotpath`.
+//! push a few more". Each queued entry is a single integer:
 //!
-//! Keys pack `(time << 64) | seq` into one `u128` so a comparison is a
-//! single wide integer compare.
+//! ```text
+//! bits 127..64   63..24   23..22   21..0
+//!      time      seq      kind     payload (pid or token)
+//! ```
+//!
+//! so the heap orders entries by `(time, seq)` with one wide integer
+//! compare, and an entry moves through the heap as 16 bytes. `seq` is
+//! unique per entry, so the order is total and the bits below it never
+//! decide a comparison. `seq` is limited to 40 bits and the payload to
+//! 22; exceeding either is a hard panic, never a silent wrap (a wrapped
+//! `seq` would reorder events).
+//!
+//! Outside the queue an entry is seen as its key `(time << 64) | seq`
+//! plus its [`Event`], exactly as pushed: [`EventQueue::pop_if`],
+//! [`EventQueue::export`] and therefore snapshots never see the packing.
 
-use crate::config::SchedulerKind;
-
-/// Minimum-first event queue keyed by packed `(time << 64) | seq`.
-pub(crate) trait Scheduler<T: Copy> {
-    /// Enqueues an entry.
-    fn push(&mut self, key: u128, item: T);
-    /// Pops the minimum-key entry.
-    fn pop(&mut self) -> Option<(u128, T)>;
-    /// Pops the minimum-key entry only if its time (`key >> 64`) is at
-    /// most `bound`; otherwise leaves the queue untouched.
-    fn pop_if(&mut self, bound: u64) -> Option<(u128, T)>;
-    /// Number of queued entries.
-    fn len(&self) -> usize;
-    /// Snapshot export: every queued entry, in arbitrary order (capture
-    /// sorts by key so equal states snapshot identically).
-    fn export(&self) -> Vec<(u128, T)>;
+/// A scheduled simulation event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Event {
+    CoreStep(usize),
+    BusGrant,
+    TxnDone(u64),
 }
 
-/// One heap entry; comparison is reversed so `BinaryHeap`'s max-heap
-/// behaves as the min-queue the simulation needs.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry<T> {
-    key: u128,
-    item: T,
-}
+/// Width of the `seq` field of a packed entry.
+const SEQ_BITS: u32 = 40;
+/// Width of the event field (kind + payload) below `seq`.
+const EVENT_BITS: u32 = 24;
+/// Width of the pid/token payload inside the event field.
+const PAYLOAD_BITS: u32 = 22;
+const PAYLOAD_MASK: u64 = (1 << PAYLOAD_BITS) - 1;
 
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+impl Event {
+    #[inline]
+    fn pack(self) -> u64 {
+        let (kind, payload) = match self {
+            Event::CoreStep(pid) => (0, pid as u64),
+            Event::BusGrant => (1, 0),
+            Event::TxnDone(token) => (2, token),
+        };
+        assert!(
+            payload <= PAYLOAD_MASK,
+            "event payload {payload} does not fit the queue's {PAYLOAD_BITS}-bit field"
+        );
+        (kind << PAYLOAD_BITS) | payload
     }
-}
 
-impl<T> Eq for HeapEntry<T> {}
-
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key.cmp(&self.key)
-    }
-}
-
-/// The default scheduler: a binary heap of packed keys.
-#[derive(Debug, Clone)]
-pub(crate) struct HeapScheduler<T> {
-    heap: std::collections::BinaryHeap<HeapEntry<T>>,
-}
-
-impl<T> HeapScheduler<T> {
-    pub fn new() -> HeapScheduler<T> {
-        HeapScheduler {
-            heap: std::collections::BinaryHeap::new(),
+    #[inline]
+    fn unpack(bits: u64) -> Event {
+        let payload = bits & PAYLOAD_MASK;
+        match bits >> PAYLOAD_BITS {
+            0 => Event::CoreStep(payload as usize),
+            1 => Event::BusGrant,
+            // Kind 3 is never packed.
+            _ => Event::TxnDone(payload),
         }
     }
 }
 
-impl<T: Copy> Scheduler<T> for HeapScheduler<T> {
-    #[inline]
-    fn push(&mut self, key: u128, item: T) {
-        self.heap.push(HeapEntry { key, item });
+/// Splits a packed entry back into its `(time << 64) | seq` key and event.
+#[inline]
+fn unpack_entry(entry: u128) -> (u128, Event) {
+    let low = entry as u64;
+    let key = (entry >> 64 << 64) | u128::from(low >> EVENT_BITS);
+    (key, Event::unpack(low & ((1 << EVENT_BITS) - 1)))
+}
+
+/// Minimum-first event queue keyed by `(time << 64) | seq`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EventQueue {
+    /// Packed entries in min-heap order: every entry is at most its
+    /// children at `2i + 1` and `2i + 2`.
+    heap: Vec<u128>,
+}
+
+impl EventQueue {
+    pub fn new() -> EventQueue {
+        EventQueue::default()
     }
 
+    /// Enqueues `ev` under `key = (time << 64) | seq`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq >= 2^40` or the event's pid/token is `>= 2^22`.
     #[inline]
-    fn pop(&mut self) -> Option<(u128, T)> {
-        self.heap.pop().map(|e| (e.key, e.item))
+    pub fn push(&mut self, key: u128, ev: Event) {
+        let seq = key as u64;
+        assert!(
+            seq >> SEQ_BITS == 0,
+            "event seq {seq} does not fit the queue's {SEQ_BITS}-bit field"
+        );
+        let entry = (key >> 64 << 64) | (u128::from(seq) << EVENT_BITS) | u128::from(ev.pack());
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1, entry);
     }
 
+    /// Pops the minimum-key entry.
     #[inline]
-    fn pop_if(&mut self, bound: u64) -> Option<(u128, T)> {
-        let peeked = self.heap.peek()?;
-        if (peeked.key >> 64) as u64 > bound {
+    pub fn pop(&mut self) -> Option<(u128, Event)> {
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            Some(&top) => {
+                self.refill_root(last);
+                top
+            }
+            None => last,
+        };
+        Some(unpack_entry(top))
+    }
+
+    /// Pops the minimum-key entry only if its time (`key >> 64`) is at
+    /// most `bound`; otherwise leaves the queue untouched.
+    #[inline]
+    pub fn pop_if(&mut self, bound: u64) -> Option<(u128, Event)> {
+        if (*self.heap.first()? >> 64) as u64 > bound {
             return None;
         }
         self.pop()
     }
 
-    fn len(&self) -> usize {
+    /// Number of queued entries.
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    fn export(&self) -> Vec<(u128, T)> {
-        self.heap.iter().map(|e| (e.key, e.item)).collect()
-    }
-}
-
-/// Number of calendar buckets (a power of two).
-const WHEEL_BUCKETS: usize = 1024;
-/// log2 of the bucket time width: 64-cycle windows. One rotation spans
-/// `WHEEL_BUCKETS << WHEEL_SHIFT` = 65536 cycles, comfortably above any
-/// single-event latency in the model, so the global-scan fallback is
-/// essentially never taken.
-const WHEEL_SHIFT: u32 = 6;
-
-/// A calendar queue (time wheel): events live in the bucket of their
-/// time window (`(time >> WHEEL_SHIFT) % WHEEL_BUCKETS`); popping scans
-/// forward from a monotone `horizon` lower bound, taking the minimum
-/// key within the first non-empty window. Empty windows advance the
-/// horizon as they are passed, so each window is skipped at most once —
-/// pops are O(bucket population), not O(queue length), and pushes are
-/// O(1).
-#[derive(Debug, Clone)]
-pub(crate) struct WheelScheduler<T> {
-    buckets: Vec<Vec<(u128, T)>>,
-    len: usize,
-    /// Lower bound on the minimum queued time.
-    horizon: u64,
-}
-
-impl<T> WheelScheduler<T> {
-    pub fn new() -> WheelScheduler<T> {
-        WheelScheduler {
-            buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
-            len: 0,
-            horizon: 0,
-        }
-    }
-
-    #[inline]
-    fn bucket_of(time: u64) -> usize {
-        ((time >> WHEEL_SHIFT) as usize) & (WHEEL_BUCKETS - 1)
-    }
-}
-
-impl<T: Copy> Scheduler<T> for WheelScheduler<T> {
-    #[inline]
-    fn push(&mut self, key: u128, item: T) {
-        let time = (key >> 64) as u64;
-        if time < self.horizon {
-            self.horizon = time;
-        }
-        self.buckets[Self::bucket_of(time)].push((key, item));
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<(u128, T)> {
-        self.pop_if(u64::MAX)
-    }
-
-    fn pop_if(&mut self, bound: u64) -> Option<(u128, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut window = self.horizon >> WHEEL_SHIFT;
-        for _ in 0..WHEEL_BUCKETS {
-            let b = (window as usize) & (WHEEL_BUCKETS - 1);
-            let bucket = &self.buckets[b];
-            let mut best: Option<usize> = None;
-            for (i, &(key, _)) in bucket.iter().enumerate() {
-                if ((key >> 64) as u64) >> WHEEL_SHIFT == window
-                    && best.is_none_or(|bi| key < bucket[bi].0)
-                {
-                    best = Some(i);
-                }
-            }
-            if let Some(i) = best {
-                let time = (bucket[i].0 >> 64) as u64;
-                // The found entry IS the queue minimum, so the horizon
-                // may advance to it even when the pop is refused.
-                self.horizon = time;
-                if time > bound {
-                    return None;
-                }
-                self.len -= 1;
-                return Some(self.buckets[b].swap_remove(i));
-            }
-            // No event anywhere in this window (any such event would
-            // hash to exactly this bucket): safe to skip past it.
-            window += 1;
-            self.horizon = window << WHEEL_SHIFT;
-        }
-        // A full rotation found nothing: the next event is more than one
-        // rotation ahead. Locate it with a global scan (cold path).
-        let mut best: Option<(usize, usize)> = None;
-        let mut best_key = u128::MAX;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, &(key, _)) in bucket.iter().enumerate() {
-                if key < best_key {
-                    best_key = key;
-                    best = Some((b, i));
-                }
-            }
-        }
-        let (b, i) = best.expect("len > 0 but no entry found");
-        let time = (best_key >> 64) as u64;
-        self.horizon = time;
-        if time > bound {
-            return None;
-        }
-        self.len -= 1;
-        Some(self.buckets[b].swap_remove(i))
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn export(&self) -> Vec<(u128, T)> {
-        self.buckets.iter().flatten().copied().collect()
-    }
-}
-
-/// The configured event queue: enum dispatch (a predictable two-way
-/// branch per operation, no virtual calls, no extra generic parameter
-/// on [`crate::system::System`]).
-#[derive(Debug, Clone)]
-pub(crate) enum EventQueue<T> {
-    Heap(HeapScheduler<T>),
-    Wheel(WheelScheduler<T>),
-}
-
-impl<T: Copy> EventQueue<T> {
-    pub fn new(kind: SchedulerKind) -> EventQueue<T> {
-        match kind {
-            SchedulerKind::Heap => EventQueue::Heap(HeapScheduler::new()),
-            SchedulerKind::Wheel => EventQueue::Wheel(WheelScheduler::new()),
-        }
-    }
-
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
-}
 
-impl<T: Copy> Scheduler<T> for EventQueue<T> {
+    /// Snapshot export: every queued entry, in arbitrary order (capture
+    /// sorts by key so equal states snapshot identically).
+    pub fn export(&self) -> Vec<(u128, Event)> {
+        self.heap.iter().map(|&entry| unpack_entry(entry)).collect()
+    }
+
+    /// Moves the hole at `hole` up until `entry` fits, then fills it.
     #[inline]
-    fn push(&mut self, key: u128, item: T) {
-        match self {
-            EventQueue::Heap(s) => s.push(key, item),
-            EventQueue::Wheel(s) => s.push(key, item),
+    fn sift_up(&mut self, mut hole: usize, entry: u128) {
+        let heap = &mut self.heap[..];
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            if heap[parent] <= entry {
+                break;
+            }
+            heap[hole] = heap[parent];
+            hole = parent;
         }
+        heap[hole] = entry;
     }
 
+    /// Fills the hole a pop left at the root with `entry`, the former
+    /// last entry: the hole walks down the smaller-child path to a leaf
+    /// (one branch-free compare per level), then `entry` sifts up from
+    /// there. An entry from the bottom usually belongs near the bottom,
+    /// so the sift up is short.
     #[inline]
-    fn pop(&mut self) -> Option<(u128, T)> {
-        match self {
-            EventQueue::Heap(s) => s.pop(),
-            EventQueue::Wheel(s) => s.pop(),
+    fn refill_root(&mut self, entry: u128) {
+        let heap = &mut self.heap[..];
+        let len = heap.len();
+        let mut hole = 0;
+        let mut child = 1;
+        while child + 1 < len {
+            child += usize::from(heap[child + 1] < heap[child]);
+            heap[hole] = heap[child];
+            hole = child;
+            child = 2 * hole + 1;
         }
-    }
-
-    #[inline]
-    fn pop_if(&mut self, bound: u64) -> Option<(u128, T)> {
-        match self {
-            EventQueue::Heap(s) => s.pop_if(bound),
-            EventQueue::Wheel(s) => s.pop_if(bound),
+        if child + 1 == len {
+            heap[hole] = heap[child];
+            hole = child;
         }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(s) => s.len(),
-            EventQueue::Wheel(s) => s.len(),
-        }
-    }
-
-    fn export(&self) -> Vec<(u128, T)> {
-        match self {
-            EventQueue::Heap(s) => s.export(),
-            EventQueue::Wheel(s) => s.export(),
-        }
+        self.sift_up(hole, entry);
     }
 }
 
@@ -286,61 +189,75 @@ mod tests {
         ((time as u128) << 64) | seq as u128
     }
 
-    /// Both schedulers pop any workload in identical `(time, seq)`
-    /// order — simulation-shaped (mostly monotone pushes, occasional
-    /// same-time bursts) plus adversarial jumps past a full wheel
-    /// rotation to force the fallback scan.
+    fn random_event(rng: &mut SplitMix64) -> Event {
+        match rng.next_below(3) {
+            0 => Event::CoreStep(rng.next_below(64) as usize),
+            1 => Event::BusGrant,
+            // Tokens up to the payload limit, so the top bits are exercised.
+            _ => Event::TxnDone(rng.next_below(PAYLOAD_MASK + 1)),
+        }
+    }
+
+    /// A simulation-shaped stream (mostly near-future pushes, same-time
+    /// bursts, occasional far jumps, refused and granted `pop_if`s) pops
+    /// and exports exactly like a sorted-`Vec` model of the queue.
     #[test]
-    fn wheel_and_heap_pop_identically() {
+    fn queue_pops_like_sorted_model() {
         let mut rng = SplitMix64::new(0x5C4E);
         for round in 0..16 {
-            let mut heap: HeapScheduler<u64> = HeapScheduler::new();
-            let mut wheel: WheelScheduler<u64> = WheelScheduler::new();
+            let mut q = EventQueue::new();
+            let mut model: Vec<(u128, Event)> = Vec::new();
             let mut now = 0u64;
             let mut seq = 0u64;
             for _ in 0..3_000 {
                 match rng.next_below(5) {
-                    // Push a near-future event (latency-shaped).
                     0..=2 => {
-                        let delta = rng.next_below(200);
-                        // Occasionally jump far beyond one rotation.
-                        let delta = if round % 3 == 0 && rng.next_below(100) == 0 {
-                            delta + (WHEEL_BUCKETS as u64) * (1 << WHEEL_SHIFT) * 3
-                        } else {
-                            delta
+                        let delta = match rng.next_below(100) {
+                            0 if round % 3 == 0 => 200_000 + rng.next_below(1 << 20),
+                            1..=10 => 0,
+                            _ => rng.next_below(200),
                         };
                         seq += 1;
                         let k = key(now + delta, seq);
-                        heap.push(k, seq);
-                        wheel.push(k, seq);
+                        let ev = random_event(&mut rng);
+                        q.push(k, ev);
+                        let at = model.partition_point(|&(mk, _)| mk < k);
+                        model.insert(at, (k, ev));
                     }
                     3 => {
-                        let got = wheel.pop();
-                        assert_eq!(got, heap.pop());
+                        let want = (!model.is_empty()).then(|| model.remove(0));
+                        let got = q.pop();
+                        assert_eq!(got, want);
                         if let Some((k, _)) = got {
                             now = (k >> 64) as u64;
                         }
                     }
                     _ => {
                         let bound = now + rng.next_below(300);
-                        let got = wheel.pop_if(bound);
-                        assert_eq!(got, heap.pop_if(bound));
+                        let due = model
+                            .first()
+                            .is_some_and(|&(k, _)| (k >> 64) as u64 <= bound);
+                        let want = due.then(|| model.remove(0));
+                        let got = q.pop_if(bound);
+                        assert_eq!(got, want);
                         if let Some((k, _)) = got {
                             now = (k >> 64) as u64;
                         }
                     }
                 }
-                assert_eq!(wheel.len(), heap.len());
-            }
-            // Drain: the tails must agree exactly.
-            loop {
-                let a = wheel.pop();
-                let b = heap.pop();
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
+                assert_eq!(q.len(), model.len());
+                if rng.next_below(64) == 0 {
+                    let mut exported = q.export();
+                    exported.sort_unstable_by_key(|&(k, _)| k);
+                    assert_eq!(exported, model);
                 }
             }
+            // Drain: the tails must agree exactly.
+            for want in model {
+                assert_eq!(q.pop(), Some(want));
+            }
+            assert_eq!(q.pop(), None);
+            assert!(q.is_empty());
         }
     }
 
@@ -348,38 +265,64 @@ mod tests {
     /// and exports carry every queued entry.
     #[test]
     fn pop_if_refusal_and_export() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let mut q: EventQueue<u64> = EventQueue::new(kind);
-            q.push(key(100, 1), 1);
-            q.push(key(50, 2), 2);
-            q.push(key(100, 3), 3);
-            assert_eq!(q.pop_if(40), None, "{kind:?}: nothing due at 40");
-            assert_eq!(q.len(), 3);
-            let mut exported = q.export();
-            exported.sort_unstable_by_key(|&(k, _)| k);
-            assert_eq!(
-                exported,
-                vec![(key(50, 2), 2), (key(100, 1), 1), (key(100, 3), 3)]
-            );
-            assert_eq!(q.pop_if(50), Some((key(50, 2), 2)));
-            // Same-time entries pop in seq order.
-            assert_eq!(q.pop(), Some((key(100, 1), 1)));
-            assert_eq!(q.pop(), Some((key(100, 3), 3)));
-            assert_eq!(q.pop(), None);
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.push(key(100, 1), Event::CoreStep(1));
+        q.push(key(50, 2), Event::BusGrant);
+        q.push(key(100, 3), Event::TxnDone(3));
+        assert_eq!(q.pop_if(40), None, "nothing due at 40");
+        assert_eq!(q.len(), 3);
+        let mut exported = q.export();
+        exported.sort_unstable_by_key(|&(k, _)| k);
+        assert_eq!(
+            exported,
+            vec![
+                (key(50, 2), Event::BusGrant),
+                (key(100, 1), Event::CoreStep(1)),
+                (key(100, 3), Event::TxnDone(3))
+            ]
+        );
+        assert_eq!(q.pop_if(50), Some((key(50, 2), Event::BusGrant)));
+        // Same-time entries pop in seq order.
+        assert_eq!(q.pop(), Some((key(100, 1), Event::CoreStep(1))));
+        assert_eq!(q.pop(), Some((key(100, 3), Event::TxnDone(3))));
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
     }
 
-    /// Pushing an event earlier than the wheel's horizon (a refused
-    /// `pop_if` advances it) must pull the horizon back so the new
-    /// event is found.
+    /// `export` returns every queued `(key, event)` unchanged, including
+    /// the extremes of each packed field.
     #[test]
-    fn wheel_handles_push_below_horizon() {
-        let mut wheel: WheelScheduler<u64> = WheelScheduler::new();
-        wheel.push(key(10_000, 1), 1);
-        assert_eq!(wheel.pop_if(5_000), None); // horizon advances to 10_000
-        wheel.push(key(200, 2), 2);
-        assert_eq!(wheel.pop(), Some((key(200, 2), 2)));
-        assert_eq!(wheel.pop(), Some((key(10_000, 1), 1)));
+    fn export_returns_every_entry_unchanged() {
+        let mut rng = SplitMix64::new(0xE4907);
+        let max_seq = (1 << SEQ_BITS) - 1;
+        let mut pushed = vec![
+            (key(u64::MAX, max_seq), Event::TxnDone(PAYLOAD_MASK)),
+            (key(0, 0), Event::CoreStep(PAYLOAD_MASK as usize)),
+            (key(u64::MAX, 0), Event::BusGrant),
+        ];
+        for _ in 0..500 {
+            let k = key(rng.next_u64(), rng.next_below(max_seq + 1));
+            pushed.push((k, random_event(&mut rng)));
+        }
+        let mut q = EventQueue::new();
+        for &(k, ev) in &pushed {
+            q.push(k, ev);
+        }
+        let mut exported = q.export();
+        exported.sort_unstable_by_key(|&(k, ev)| (k, ev.pack()));
+        pushed.sort_unstable_by_key(|&(k, ev)| (k, ev.pack()));
+        assert_eq!(exported, pushed);
+    }
+
+    #[test]
+    #[should_panic(expected = "40-bit field")]
+    fn seq_past_40_bits_panics() {
+        EventQueue::new().push(key(1, 1 << SEQ_BITS), Event::BusGrant);
+    }
+
+    #[test]
+    #[should_panic(expected = "22-bit field")]
+    fn payload_past_22_bits_panics() {
+        EventQueue::new().push(key(1, 1), Event::TxnDone(1 << PAYLOAD_BITS));
     }
 }

@@ -32,7 +32,7 @@ use crate::config::{CoherenceProtocol, SystemConfig};
 use crate::core::{Core, CoreState};
 use crate::extension::{Extension, FollowUp};
 use crate::mesi::MesiState;
-use crate::sched::{EventQueue, Scheduler};
+use crate::sched::{Event, EventQueue};
 use crate::state::{
     ArbiterSnap, CacheSnap, ChainSnap, CoreSnap, CoreStateSnap, EventKindSnap, EventSnap,
     LineSnap, PurposeSnap, StepSnap, SystemState, TxnSlotSnap,
@@ -45,13 +45,6 @@ use senss_trace::{NullSink, TraceEvent, TraceSink, Tracer};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct L1Meta {
     dirty: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    CoreStep(usize),
-    BusGrant,
-    TxnDone(u64),
 }
 
 /// What a completed transaction was for.
@@ -127,7 +120,8 @@ struct TxnSlot {
 ///   carries an address-indexed side table for O(1) conflict checks,
 /// * snoops consult the L2 sharer-presence index and visit only actual
 ///   sharers instead of scanning every core,
-/// * the event queue key packs `(time, seq)` into one `u128` compare.
+/// * the event queue packs `(time, seq, event)` into one `u128`, so a
+///   heap compare is one wide integer compare.
 pub struct System<E, S = NullSink> {
     cfg: SystemConfig,
     sink: S,
@@ -141,10 +135,9 @@ pub struct System<E, S = NullSink> {
     arbiter: Arbiter,
     ext: E,
     stats: Stats,
-    /// Pending simulation events, keyed by packed `(time << 64) | seq`.
-    /// The implementation is chosen by `cfg.scheduler`; every choice pops
-    /// in identical order (see [`crate::sched`]).
-    events: EventQueue<Event>,
+    /// Pending simulation events, keyed by packed `(time << 64) | seq`
+    /// (see [`crate::sched`]).
+    events: EventQueue,
     seq: u64,
     bus_next_free: u64,
     grant_scheduled: bool,
@@ -237,7 +230,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             sharers: SharerIndex::new(n),
             ext,
             stats: Stats::default(),
-            events: EventQueue::new(cfg.scheduler),
+            events: EventQueue::new(),
             seq: 0,
             bus_next_free: 0,
             grant_scheduled: false,
@@ -682,11 +675,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             state.arbiter.injected.clone(),
             state.arbiter.last_granted,
         );
-        // The scheduler kind cannot affect simulated behaviour, so the
-        // text codec does not record it: a decoded snapshot restores
-        // under the default scheduler; an in-memory capture keeps the
-        // original config's choice.
-        let mut events = EventQueue::new(cfg.scheduler);
+        let mut events = EventQueue::new();
         for e in &state.events {
             events.push(
                 ((e.time as u128) << 64) | e.seq as u128,

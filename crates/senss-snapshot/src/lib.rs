@@ -32,7 +32,7 @@
 use std::fmt::Write as _;
 
 use senss_sim::bus::{BusRequest, Supplier, Transaction, TxnKind};
-use senss_sim::config::{CoherenceProtocol, SchedulerKind, SystemConfig};
+use senss_sim::config::{CoherenceProtocol, SystemConfig};
 use senss_sim::extension::Extension;
 use senss_sim::state::{
     ArbiterSnap, CacheSnap, ChainSnap, CoreSnap, CoreStateSnap, EventKindSnap, EventSnap,
@@ -690,11 +690,6 @@ fn encode_cfg(w: &mut String, cfg: &SystemConfig) {
         aes_latency,
         hash_latency,
         coherence,
-        // Deliberately not encoded: the scheduler is a simulator-
-        // performance knob that cannot affect simulated behaviour (every
-        // implementation pops events in identical order), so recording it
-        // would only pin a restore to the capturing machine's choice.
-        scheduler: _,
     } = cfg;
     let coh = match coherence {
         CoherenceProtocol::WriteInvalidate => 0,
@@ -734,9 +729,6 @@ fn decode_cfg(p: &mut Parser<'_>) -> Result<SystemConfig, SnapshotError> {
             1 => CoherenceProtocol::WriteUpdate,
             c => return Err(f.err(format!("unknown coherence protocol {c}"))),
         },
-        // Not in the wire format (see `encode_cfg`): restores run under
-        // the default scheduler.
-        scheduler: SchedulerKind::default(),
     };
     f.done()?;
     Ok(cfg)

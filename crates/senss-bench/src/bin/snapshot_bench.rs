@@ -5,8 +5,7 @@
 //! 1. **Checkpoint cost** — on one representative SENSS job, the wall
 //!    cost of `Snapshot::capture`, text `encode`, `decode`, and
 //!    `restore` at the run's midpoint, plus the encoded size. This is
-//!    the price `senss-serve` pays to retain a trace checkpoint and the
-//!    harness pays per `HARNESS_CHECKPOINT_CYCLES` interval.
+//!    the price the harness pays per warm-start fork checkpoint.
 //!
 //! 2. **Fork speedup** — a dense ops-per-core grid (every member shares
 //!    the same architectural config, so the executor's warm-start

@@ -3,12 +3,13 @@
 //! Jobs are dispatched from a shared work queue to a pool of worker
 //! threads (worker count defaults to the machine's available
 //! parallelism, overridable with `HARNESS_WORKERS`). Each job runs
-//! under [`std::panic::catch_unwind`], so a poisoned configuration
-//! fails alone instead of sinking the sweep; failures classified as
-//! transient are retried with exponential backoff up to a bounded
-//! attempt count. Results are re-ordered by job index before being
-//! returned, so the output is identical no matter how many workers ran
-//! or in which order they finished.
+//! exactly once under [`std::panic::catch_unwind`], so a poisoned
+//! configuration fails alone instead of sinking the sweep. Jobs are
+//! deterministic, so a failure is reported rather than retried: another
+//! attempt would replay the same panic at the same cycle. Results are
+//! re-ordered by job index before being returned, so the output is
+//! identical no matter how many workers ran or in which order they
+//! finished.
 
 use crate::cache::ResultCache;
 use crate::record::RunRecord;
@@ -27,10 +28,6 @@ use std::time::{Duration, Instant};
 pub struct HarnessConfig {
     /// Worker thread count (clamped to at least 1).
     pub workers: usize,
-    /// Maximum attempts per job (1 = no retry).
-    pub max_attempts: u32,
-    /// Base backoff between attempts; doubles per retry.
-    pub backoff: Duration,
     /// Fail any job whose simulated `total_cycles` exceeds this budget.
     pub cycle_budget: Option<u64>,
     /// Cache directory (`None` disables caching).
@@ -46,10 +43,6 @@ pub struct HarnessConfig {
     /// bit-identical to cold runs (and cached under the same keys);
     /// only wall-clock changes.
     pub warm_start: bool,
-    /// Checkpoint period in simulated cycles. When set, uncaptured jobs
-    /// snapshot every `n` cycles and a panicking attempt resumes from
-    /// the last good checkpoint instead of cycle 0.
-    pub checkpoint_every: Option<u64>,
 }
 
 impl HarnessConfig {
@@ -58,14 +51,11 @@ impl HarnessConfig {
     ///
     /// * `HARNESS_WORKERS` — worker count (default: available
     ///   parallelism);
-    /// * `HARNESS_RETRIES` — retries after the first attempt (default 2);
     /// * `HARNESS_CYCLE_BUDGET` — per-job simulated-cycle budget
     ///   (default: none);
     /// * `HARNESS_NO_CACHE` — any value disables the result cache;
     /// * `HARNESS_WARM_START` — any value but `0` enables warm-start
     ///   forking of ops-per-core sweeps (default off);
-    /// * `HARNESS_CHECKPOINT_CYCLES` — checkpoint period in simulated
-    ///   cycles for resumable runs (default: no checkpoints);
     /// * cache lives under `results/cache/`, records under
     ///   `results/records/`.
     ///
@@ -95,8 +85,6 @@ impl HarnessConfig {
         });
         HarnessConfig {
             workers,
-            max_attempts: 1 + env_usize("HARNESS_RETRIES").unwrap_or(2) as u32,
-            backoff: Duration::from_millis(50),
             cycle_budget: lookup("HARNESS_CYCLE_BUDGET")
                 .map(|v| parsed::<u64>("HARNESS_CYCLE_BUDGET", &v)),
             cache_dir: if lookup("HARNESS_NO_CACHE").is_some() {
@@ -107,42 +95,25 @@ impl HarnessConfig {
             records_dir: Some(PathBuf::from("results/records")),
             trace_dir: Some(PathBuf::from("results/traces")),
             warm_start: lookup("HARNESS_WARM_START").map(|v| v != "0").unwrap_or(false),
-            checkpoint_every: lookup("HARNESS_CHECKPOINT_CYCLES")
-                .map(|v| parsed::<u64>("HARNESS_CHECKPOINT_CYCLES", &v)),
         }
     }
 
     /// A hermetic configuration for tests: one worker, no cache, no
-    /// records, no retries.
+    /// records.
     pub fn hermetic() -> HarnessConfig {
         HarnessConfig {
             workers: 1,
-            max_attempts: 1,
-            backoff: Duration::from_millis(1),
             cycle_budget: None,
             cache_dir: None,
             records_dir: None,
             trace_dir: None,
             warm_start: false,
-            checkpoint_every: None,
         }
     }
 
     /// Sets the worker count.
     pub fn with_workers(mut self, workers: usize) -> HarnessConfig {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the maximum attempts per job.
-    pub fn with_max_attempts(mut self, attempts: u32) -> HarnessConfig {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Sets the base retry backoff.
-    pub fn with_backoff(mut self, backoff: Duration) -> HarnessConfig {
-        self.backoff = backoff;
         self
     }
 
@@ -175,35 +146,20 @@ impl HarnessConfig {
         self.warm_start = on;
         self
     }
-
-    /// Sets the checkpoint period for resumable runs (cycles).
-    pub fn with_checkpoint_every(mut self, cycles: u64) -> HarnessConfig {
-        self.checkpoint_every = Some(cycles);
-        self
-    }
 }
 
 /// Why a job failed for good.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
-    /// The job panicked on every attempt; carries the last panic
-    /// message.
+    /// The job panicked; carries the panic message.
     Panicked(String),
-    /// The run completed but blew the configured cycle budget
-    /// (deterministic, so never retried).
+    /// The run completed but blew the configured cycle budget.
     CycleBudgetExceeded {
         /// Simulated cycles the run took.
         cycles: u64,
         /// The configured budget.
         budget: u64,
     },
-}
-
-impl JobError {
-    /// Whether another attempt could plausibly change the outcome.
-    fn retryable(&self) -> bool {
-        matches!(self, JobError::Panicked(_))
-    }
 }
 
 impl std::fmt::Display for JobError {
@@ -217,7 +173,7 @@ impl std::fmt::Display for JobError {
     }
 }
 
-/// A job that failed after exhausting its attempts.
+/// A job that failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobFailure {
     /// Position in the sweep.
@@ -226,7 +182,8 @@ pub struct JobFailure {
     pub spec: JobSpec,
     /// Final error.
     pub error: JobError,
-    /// Attempts consumed.
+    /// Attempts consumed: always 1, since every job runs once. Kept so
+    /// failure reports and [`RunRecord::attempts`] share one shape.
     pub attempts: u32,
 }
 
@@ -355,7 +312,6 @@ enum WorkerMsg {
         stats: Stats,
         wall_micros: u64,
         worker: usize,
-        attempts: u32,
         trace_artifact: Option<String>,
         forked: bool,
     },
@@ -414,16 +370,11 @@ impl Harness {
         on_record: impl Fn(&RunRecord) + Sync,
     ) -> std::io::Result<SweepResult> {
         let trace_dir = self.cfg.trace_dir.clone();
-        let checkpoint_every = self.cfg.checkpoint_every;
-        let max_attempts = self.cfg.max_attempts;
         self.run_rich(
             sweep,
             move |spec| match (spec.capture, &trace_dir) {
                 (Some(capture), Some(dir)) => capture_run(spec, capture, dir),
-                _ => match checkpoint_every {
-                    Some(every) => (resumable_run(spec, every, max_attempts), None),
-                    None => (spec.run(), None),
-                },
+                _ => (spec.run(), None),
             },
             self.cfg.warm_start,
             &on_record,
@@ -568,7 +519,6 @@ impl Harness {
                             stats,
                             wall_micros,
                             worker,
-                            attempts,
                             trace_artifact,
                             forked: was_forked,
                         } => {
@@ -587,7 +537,7 @@ impl Harness {
                                 stats,
                                 wall_micros,
                                 worker: Some(worker),
-                                attempts,
+                                attempts: 1,
                                 cached: false,
                                 trace_artifact,
                             };
@@ -804,7 +754,6 @@ where
                 stats,
                 wall_micros,
                 worker,
-                attempts: 1,
                 trace_artifact: None,
                 forked,
             },
@@ -857,70 +806,6 @@ fn warm_start_group(
     Ok(out)
 }
 
-/// Runs a job with a checkpoint captured every `every` simulated
-/// cycles. A panicking attempt resumes from the last good checkpoint
-/// instead of cycle 0; after `max_attempts` total attempts the final
-/// panic propagates (so [`run_one`]'s failure accounting sees it).
-///
-/// Checkpoints round-trip through [`Snapshot::encode`]/[`decode`] on
-/// every resume, so a resumed run exercises exactly the path a
-/// persisted checkpoint would take.
-///
-/// [`decode`]: Snapshot::decode
-fn resumable_run(spec: &JobSpec, every: u64, max_attempts: u32) -> Stats {
-    resumable_run_with_probe(spec, every, max_attempts, &Mutex::new(|_| {}))
-}
-
-/// [`resumable_run`] with a fault-injection probe called after each
-/// checkpoint is stored (tests panic inside it to exercise resume).
-fn resumable_run_with_probe(
-    spec: &JobSpec,
-    every: u64,
-    max_attempts: u32,
-    probe: &Mutex<impl FnMut(u64)>,
-) -> Stats {
-    let every = every.max(1);
-    let checkpoint: Mutex<Option<String>> = Mutex::new(None);
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let resume = checkpoint
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clone();
-            let (mut sys, mut bound) = match resume {
-                Some(text) => {
-                    let snap = Snapshot::decode(&text)
-                        .expect("a checkpoint this process encoded must decode");
-                    let bound = snap.cycle() + every;
-                    (snap.restore(spec.build_extension()), bound)
-                }
-                None => (spec.build_system(), every),
-            };
-            while sys.run_until(bound) {
-                let snap = Snapshot::capture(&sys, bound);
-                *checkpoint
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(snap.encode());
-                (probe
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner))(bound);
-                bound += every;
-            }
-            sys.finish()
-        }));
-        match result {
-            Ok(stats) => return stats,
-            Err(payload) => {
-                if attempts >= max_attempts {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
-    }
-}
-
 fn run_one<F>(
     cfg: &HarnessConfig,
     runner: &F,
@@ -932,41 +817,31 @@ where
     F: Fn(&JobSpec) -> (Stats, Option<String>) + Sync,
 {
     let started = Instant::now();
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let outcome = catch_unwind(AssertUnwindSafe(|| runner(spec)));
-        let error = match outcome {
-            Ok((stats, trace_artifact)) => match cfg.cycle_budget {
-                Some(budget) if stats.total_cycles > budget => JobError::CycleBudgetExceeded {
-                    cycles: stats.total_cycles,
-                    budget,
-                },
-                _ => {
-                    return WorkerMsg::Done {
-                        index,
-                        stats,
-                        wall_micros: started.elapsed().as_micros() as u64,
-                        worker,
-                        attempts,
-                        trace_artifact,
-                        forked: false,
-                    }
-                }
+    let error = match catch_unwind(AssertUnwindSafe(|| runner(spec))) {
+        Ok((stats, trace_artifact)) => match cfg.cycle_budget {
+            Some(budget) if stats.total_cycles > budget => JobError::CycleBudgetExceeded {
+                cycles: stats.total_cycles,
+                budget,
             },
-            Err(payload) => JobError::Panicked(panic_message(payload.as_ref())),
-        };
-        if attempts >= cfg.max_attempts || !error.retryable() {
-            return WorkerMsg::Failed(JobFailure {
-                index,
-                spec: *spec,
-                error,
-                attempts,
-            });
-        }
-        // Exponential backoff before the next attempt.
-        std::thread::sleep(cfg.backoff * 2u32.saturating_pow(attempts - 1));
-    }
+            _ => {
+                return WorkerMsg::Done {
+                    index,
+                    stats,
+                    wall_micros: started.elapsed().as_micros() as u64,
+                    worker,
+                    trace_artifact,
+                    forked: false,
+                }
+            }
+        },
+        Err(payload) => JobError::Panicked(panic_message(payload.as_ref())),
+    };
+    WorkerMsg::Failed(JobFailure {
+        index,
+        spec: *spec,
+        error,
+        attempts: 1,
+    })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1021,12 +896,10 @@ mod tests {
     fn from_lookup_parses_valid_values() {
         let cfg = HarnessConfig::from_lookup(|key| match key {
             "HARNESS_WORKERS" => Some("3".to_string()),
-            "HARNESS_RETRIES" => Some("0".to_string()),
             "HARNESS_CYCLE_BUDGET" => Some("123456".to_string()),
             _ => None,
         });
         assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.max_attempts, 1);
         assert_eq!(cfg.cycle_budget, Some(123_456));
         assert!(cfg.cache_dir.is_some());
 
@@ -1057,18 +930,14 @@ mod tests {
 
     #[test]
     fn snapshot_knobs_parse_from_lookup() {
-        let cfg = HarnessConfig::from_lookup(|key| match key {
-            "HARNESS_WARM_START" => Some("1".to_string()),
-            "HARNESS_CHECKPOINT_CYCLES" => Some("50000".to_string()),
-            _ => None,
+        let cfg = HarnessConfig::from_lookup(|key| {
+            (key == "HARNESS_WARM_START").then(|| "1".to_string())
         });
         assert!(cfg.warm_start);
-        assert_eq!(cfg.checkpoint_every, Some(50_000));
         let off = HarnessConfig::from_lookup(|key| {
             (key == "HARNESS_WARM_START").then(|| "0".to_string())
         });
         assert!(!off.warm_start);
-        assert_eq!(off.checkpoint_every, None);
     }
 
     fn ops_sweep(ops: &[usize]) -> SweepSpec {
@@ -1135,48 +1004,5 @@ mod tests {
             .unwrap();
         assert!(result.is_complete());
         assert_eq!(result.forked, 0);
-    }
-
-    #[test]
-    fn checkpointed_runs_match_plain_runs() {
-        let sweep = ops_sweep(&[600]);
-        let plain = Harness::new(HarnessConfig::hermetic()).run(&sweep).unwrap();
-        let chk = Harness::new(HarnessConfig::hermetic().with_checkpoint_every(10_000))
-            .run(&sweep)
-            .unwrap();
-        assert_eq!(plain.require(&sweep.jobs[0]), chk.require(&sweep.jobs[0]));
-    }
-
-    #[test]
-    fn a_fault_mid_run_resumes_from_the_last_checkpoint() {
-        let spec = JobSpec::new(Workload::Fft, 2, 1 << 20)
-            .with_mode(SecurityMode::senss())
-            .with_ops(600);
-        let expected = spec.run();
-        let every = expected.total_cycles / 5;
-        let mut fired = false;
-        let mut resumed_from = None;
-        let probe = Mutex::new(move |cycle: u64| {
-            if !fired && cycle >= 2 * every {
-                fired = true;
-                panic!("injected fault at cycle {cycle}");
-            }
-            if fired && resumed_from.is_none() {
-                resumed_from = Some(cycle);
-                // The resumed attempt must start from the surviving
-                // checkpoint, not from cycle 0.
-                assert!(cycle > every, "resumed attempt re-ran from scratch");
-            }
-        });
-        let stats = resumable_run_with_probe(&spec, every, 3, &probe);
-        assert_eq!(stats, expected, "resume must not change the result");
-    }
-
-    #[test]
-    #[should_panic(expected = "injected fault")]
-    fn resumable_run_gives_up_after_max_attempts() {
-        let spec = JobSpec::new(Workload::Fft, 2, 1 << 20).with_ops(600);
-        let probe = Mutex::new(|_cycle: u64| panic!("injected fault"));
-        resumable_run_with_probe(&spec, 5_000, 2, &probe);
     }
 }

@@ -10,8 +10,8 @@
 //!   parameter of one simulation, [`SweepSpec`] collects jobs (with a
 //!   [`SweepSpec::grid`] cross-product helper), [`SecurityMode`] and
 //!   [`TraceSpec`] name the experiment axes.
-//! * [`executor`] — run the sweep on a worker pool with per-job panic
-//!   isolation, bounded retry with exponential backoff, an optional
+//! * [`executor`] — run the sweep on a worker pool, each job once with
+//!   panic isolation (failures are reported, never retried), an optional
 //!   simulated-cycle budget, and deterministic result ordering: the
 //!   output is identical for 1 worker or N.
 //! * [`cache`] — a content-addressed result cache keyed by a stable

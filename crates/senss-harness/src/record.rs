@@ -152,7 +152,7 @@ pub struct RunRecord {
     pub wall_micros: u64,
     /// Executor worker that ran the job (`None` for cache hits).
     pub worker: Option<usize>,
-    /// Attempts consumed (1 = first try succeeded; 0 for cache hits).
+    /// Attempts consumed: 1 for an executed job, 0 for a cache hit.
     pub attempts: u32,
     /// Whether the result was served from the cache.
     pub cached: bool,

@@ -201,7 +201,9 @@ impl Client {
             Response::ResultsHeader { count, .. } => count,
             other => return Err(unexpected("results", &other)),
         };
-        let mut lines = Vec::with_capacity(count as usize);
+        // `count` comes from the peer: grow as lines arrive instead of
+        // trusting it for an allocation.
+        let mut lines = Vec::new();
         for _ in 0..count {
             let mut line = String::new();
             if reader.read_line(&mut line)? == 0 {

@@ -23,7 +23,7 @@
 //! processes (spawned from this same executable). `worker` is the
 //! child-process mode: it binds an ephemeral port and prints the bound
 //! address as its first stdout line. The server honours the usual
-//! `HARNESS_*` environment knobs (workers, retries, cache) for sweep
+//! `HARNESS_*` environment knobs (workers, cache, budget) for sweep
 //! execution; see `docs/serving.md`.
 
 use senss_harness::json::{self, Value};

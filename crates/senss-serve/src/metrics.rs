@@ -110,9 +110,6 @@ pub struct Metrics {
     /// the cache (accumulated across sweeps; 0 when the cache is off or
     /// healthy).
     pub cache_lines_skipped: AtomicU64,
-    /// `trace` requests answered by restoring a retained mid-run
-    /// checkpoint instead of re-simulating from cycle 0.
-    pub trace_checkpoint_hits: AtomicU64,
     /// Current depth of the sweep queue (gauge).
     pub queue_depth: AtomicU64,
     /// High-water mark of the sweep queue.
@@ -247,10 +244,6 @@ impl Metrics {
             (
                 "cache_lines_skipped".to_string(),
                 get(&self.cache_lines_skipped),
-            ),
-            (
-                "trace_checkpoint_hits".to_string(),
-                get(&self.trace_checkpoint_hits),
             ),
             ("queue_depth".to_string(), get(&self.queue_depth)),
             ("queue_depth_max".to_string(), get(&self.queue_depth_max)),

@@ -215,52 +215,12 @@ struct JobTable {
     queue: VecDeque<u64>,
 }
 
-/// Bound on retained trace checkpoints. Each entry holds an encoded
-/// mid-run snapshot plus the trace-event prefix up to its cycle, so the
-/// store is deliberately small; old entries are evicted FIFO.
-const RETAINED_CHECKPOINTS: usize = 8;
-
-/// A mid-run checkpoint retained for `trace` replay: the encoded
-/// snapshot text and every trace event emitted before its cycle.
-struct RetainedCheckpoint {
-    snapshot: String,
-    cycle: u64,
-    prefix: Vec<senss_trace::TraceEvent>,
-}
-
-/// FIFO-bounded map from [`JobSpec::cache_key`] to a retained
-/// checkpoint. Keyed by cache key (not sweep id / index) so identical
-/// jobs across sweeps share one checkpoint.
-#[derive(Default)]
-struct CheckpointStore {
-    order: VecDeque<String>,
-    entries: HashMap<String, Arc<RetainedCheckpoint>>,
-}
-
-impl CheckpointStore {
-    fn get(&self, key: &str) -> Option<Arc<RetainedCheckpoint>> {
-        self.entries.get(key).cloned()
-    }
-
-    fn insert(&mut self, key: String, cp: RetainedCheckpoint) {
-        if self.entries.insert(key.clone(), Arc::new(cp)).is_none() {
-            self.order.push_back(key);
-            while self.order.len() > RETAINED_CHECKPOINTS {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.entries.remove(&evicted);
-                }
-            }
-        }
-    }
-}
-
 struct Shared {
     metrics: Arc<Metrics>,
     table: Mutex<JobTable>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
     executor_done: AtomicBool,
-    checkpoints: Mutex<CheckpointStore>,
     queue_capacity: usize,
     max_conns: usize,
     read_timeout: Duration,
@@ -280,7 +240,6 @@ impl Shared {
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             executor_done: AtomicBool::new(false),
-            checkpoints: Mutex::new(CheckpointStore::default()),
             queue_capacity: cfg.queue_capacity,
             max_conns: cfg.max_conns,
             read_timeout: cfg.read_timeout,
@@ -1207,14 +1166,9 @@ const TRACE_BUCKET_CYCLES: u64 = 1 << 14;
 ///
 /// Jobs are deterministic, so the re-run reproduces exactly the
 /// execution whose stats the sweep already returned; the stored result
-/// lines are untouched. The first trace of a job runs cold from cycle 0
-/// and retains a mid-run checkpoint (snapshot + event prefix) in a
-/// small FIFO store; repeat traces of the same job restore the
-/// checkpoint and replay only the second half. Determinism makes the
-/// two paths indistinguishable on the wire — prefix events chained with
-/// the restored run's tail fold to byte-identical derived metrics. The
-/// re-run happens on a trace-pool thread (never the event loop), under
-/// the same panic isolation the harness gives its workers.
+/// lines are untouched. The re-run happens on a trace-pool thread (never
+/// the event loop), under the same panic isolation the harness gives its
+/// workers.
 fn trace(id: u64, index: u64, shared: &Shared) -> Response {
     let line = {
         let table = lock_recover(&shared.table);
@@ -1253,8 +1207,8 @@ fn trace(id: u64, index: u64, shared: &Shared) -> Response {
             },
         }
     };
-    let (spec, total_cycles) = match crate::protocol::parse_result_line(&line) {
-        Ok(result) => (result.spec, result.stats.total_cycles),
+    let spec = match crate::protocol::parse_result_line(&line) {
+        Ok(result) => result.spec,
         Err(e) => {
             return Response::error(
                 ErrorClass::Internal,
@@ -1262,74 +1216,20 @@ fn trace(id: u64, index: u64, shared: &Shared) -> Response {
             )
         }
     };
-    let key = spec.cache_key();
-    let retained = lock_recover(&shared.checkpoints).get(&key);
     let derived = std::panic::catch_unwind(move || {
-        use senss_trace::{fold, RingSink, TraceEvent};
-        // Warm path: restore the retained mid-run checkpoint and
-        // simulate only the tail; the saved prefix supplies the events
-        // before the checkpoint cycle.
-        if let Some(cp) = retained {
-            if let Ok(snap) = senss_snapshot::Snapshot::decode(&cp.snapshot) {
-                let mut sys = snap.restore_with_sink(spec.build_extension(), RingSink::new());
-                sys.finish();
-                let tail = sys.into_sink();
-                if tail.dropped() == 0 {
-                    let events = cp.prefix.iter().chain(tail.events());
-                    let json = fold(events, TRACE_BUCKET_CYCLES).to_json();
-                    return (json, Some(cp.cycle), None);
-                }
-            }
-            // Undecodable or overflowing checkpoint: fall through and
-            // re-run cold (and re-retain a fresh checkpoint).
-        }
-        // Cold path: full re-run; retain a midpoint checkpoint for the
-        // next trace of this job, but only if the ring held every
-        // event — a clipped prefix would make warm replays diverge
-        // from this response.
-        let mid = total_cycles / 2;
+        use senss_trace::{fold, RingSink};
         let mut sys = spec.build_system_with_sink(RingSink::new());
-        let mut capture = None;
-        if mid > 0 {
-            sys.run_until(mid);
-            if sys.sink().dropped() == 0 {
-                capture = Some(RetainedCheckpoint {
-                    snapshot: senss_snapshot::Snapshot::capture(&sys, mid).encode(),
-                    cycle: mid,
-                    prefix: sys.sink().events().copied().collect::<Vec<TraceEvent>>(),
-                });
-            }
-        }
         sys.finish();
-        let sink = sys.into_sink();
-        if sink.dropped() > 0 {
-            capture = None;
-        }
-        let json = fold(sink.events(), TRACE_BUCKET_CYCLES).to_json();
-        (json, None, capture)
+        fold(sys.into_sink().events(), TRACE_BUCKET_CYCLES).to_json()
     });
     match derived {
-        Ok((json_text, warm_cycle, capture)) => {
-            if let Some(cycle) = warm_cycle {
-                shared
-                    .metrics
-                    .trace_checkpoint_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.log(format_args!(
-                    "trace {id}/{index}: replayed from retained checkpoint at cycle {cycle}"
-                ));
-            }
-            if let Some(cp) = capture {
-                lock_recover(&shared.checkpoints).insert(key, cp);
-            }
-            match senss_harness::json::parse(&json_text) {
-                Ok(derived) => Response::Trace { id, index, derived },
-                Err(e) => Response::error(
-                    ErrorClass::Internal,
-                    format!("derived metrics did not encode cleanly: {e}"),
-                ),
-            }
-        }
+        Ok(json_text) => match senss_harness::json::parse(&json_text) {
+            Ok(derived) => Response::Trace { id, index, derived },
+            Err(e) => Response::error(
+                ErrorClass::Internal,
+                format!("derived metrics did not encode cleanly: {e}"),
+            ),
+        },
         Err(_) => Response::error(
             ErrorClass::Internal,
             format!("traced re-run of job {index} panicked"),

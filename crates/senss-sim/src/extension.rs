@@ -187,9 +187,8 @@ impl<E: Extension + ?Sized> Extension for &mut E {
 }
 
 /// Blanket impl so one `System<Box<dyn Extension>>` monomorphization can
-/// run any security stack — the checkpoint/restore and serve replay
-/// paths use it so a restored system is one concrete type regardless of
-/// mode. Dynamic dispatch changes no arithmetic, so stats stay
+/// run any security stack — the checkpoint/restore paths use it so a
+/// restored system is one concrete type regardless of mode. Dynamic dispatch changes no arithmetic, so stats stay
 /// bit-identical to the statically-dispatched run.
 impl<E: Extension + ?Sized> Extension for Box<E> {
     fn transfer_start_delay(

@@ -9,7 +9,7 @@
 //! did not write: unknown tags, wrong field counts, non-digit tokens,
 //! truncation, or a version it does not speak, each with a line number.
 //!
-//! Three workflows build on this:
+//! Two workflows build on this:
 //!
 //! * **round-trip replay** — capture mid-run, restore later (or
 //!   elsewhere), [`senss_sim::system::System::finish`], and get
@@ -18,10 +18,7 @@
 //! * **warm-start forking** — sweep points that differ only in
 //!   operations-per-core share their simulated prefix: fork one
 //!   checkpoint via [`Snapshot::replace_traces`] instead of
-//!   re-simulating it (the harness does this automatically);
-//! * **retry/trace from checkpoint** — `senss-serve` re-runs traces
-//!   and retries failed jobs from the nearest retained checkpoint
-//!   rather than cycle 0.
+//!   re-simulating it (the harness does this automatically).
 //!
 //! See `docs/snapshot.md` for the format specification and the
 //! versioning policy.

@@ -4,7 +4,6 @@
 # All binaries run through the senss-harness executor (docs/harness.md):
 #   HARNESS_WORKERS=N   worker threads (default: available parallelism)
 #   HARNESS_NO_CACHE=1  disable the content-addressed result cache
-#   HARNESS_RETRIES=N   retries per job after the first attempt (default 2)
 # The harness caches results under results/cache/ keyed by the full job
 # configuration, so a re-run only executes configs that changed; figure
 # text on stdout is byte-identical regardless of worker count or cache

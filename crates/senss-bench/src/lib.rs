@@ -13,7 +13,6 @@
 #![forbid(unsafe_code)]
 
 pub mod backends;
-pub mod benchkit;
 pub mod sweeps;
 
 use senss::secure_bus::{SenssConfig, SenssExtension};

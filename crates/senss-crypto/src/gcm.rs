@@ -5,8 +5,8 @@
 //! newly developed algorithm that produces ciphertext and MAC with a single
 //! AES invocation per block, computing the tag with GF(2¹²⁸) multiplications
 //! over the counter-mode outputs. This module implements GCM from scratch
-//! (GHASH included) so the ablation bench `ablation_gcm_vs_cbc` can compare
-//! the two approaches.
+//! (GHASH included) for the functional `senss::gcm_fabric`; the timing
+//! ablation is `senss_cli --cipher cbc|gcm`.
 //!
 //! Validated against the NIST GCM reference test vectors.
 

@@ -12,7 +12,7 @@
 //! lengthening the authentication interval never loses coverage (§4.3).
 //!
 //! The module also provides [`UnchainedMac`], the non-chained per-message
-//! baseline (à la Shi et al. [20]) that the paper argues is insufficient:
+//! baseline (à la Shi et al. \[20\]) that the paper argues is insufficient:
 //! it authenticates each message in isolation and therefore misses the
 //! Type 1 (dropping) and Type 3 (spoof-to-subset) attacks demonstrated in
 //! the `senss-attacks` crate.

@@ -132,11 +132,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply arrays and objects may nest. The parser recurses once
+/// per level, so this bounds its stack use on input from a socket or a
+/// file. The deepest document the workspace writes nests 4 levels (a
+/// trace reply: reply, `derived`, `txns`, one transaction class).
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (harness subset).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -148,8 +156,10 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -182,8 +192,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'0'..=b'9') => self.number(),
@@ -251,9 +272,11 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
+                    let c = self
+                        .input
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("bad utf-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -328,6 +351,7 @@ mod tests {
                 Value::Arr(vec![Value::UInt(1), Value::UInt(2)]),
             ),
             ("empty".into(), Value::Obj(vec![])),
+            ("long".into(), Value::Str("é".repeat(1 << 19))),
         ]);
         assert_eq!(parse(&v.encode()).unwrap(), v);
     }
@@ -354,6 +378,7 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

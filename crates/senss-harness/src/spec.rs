@@ -430,9 +430,9 @@ impl JobSpec {
         SystemConfig::e6000(self.cores, self.l2_bytes).with_coherence(self.coherence)
     }
 
-    /// Materializes the per-core traces this job simulates. Public so
-    /// checkpoint forking ([`crate::executor`], `snapshot_bench`) can
-    /// swap a longer trace set into a captured prefix.
+    /// Materializes the per-core traces this job simulates. Checkpoint
+    /// forking ([`crate::executor`]) swaps a longer trace set into a
+    /// captured prefix.
     pub fn traces(&self) -> Vec<VecTrace> {
         match self.trace {
             TraceSpec::Workload(w) => w.generate(self.cores, self.ops_per_core, self.seed),
@@ -519,8 +519,8 @@ impl JobSpec {
     }
 
     /// Like [`run`](JobSpec::run), but also returns the number of events
-    /// the simulator's main loop dispatched — the denominator the
-    /// `sim_hotpath` micro-benchmark normalizes wall time by.
+    /// the simulator's main loop dispatched — the denominator `perfbench`
+    /// normalizes wall time by.
     pub fn run_counting(&self) -> (Stats, u64) {
         fn finish<E: senss_sim::Extension>(mut sys: System<E>) -> (Stats, u64) {
             let stats = sys.run();

@@ -31,7 +31,7 @@ pub struct PollFd {
     pub fd: RawFd,
     /// Requested events (`POLLIN` / `POLLOUT`).
     pub events: i16,
-    /// Kernel-reported events, valid after [`poll`] returns.
+    /// Kernel-reported events, valid after `poll` returns.
     pub revents: i16,
 }
 

@@ -189,8 +189,10 @@ fn malformed_frames_get_structured_errors_and_connection_survives() {
         Response::decode(reply.trim()).expect("parseable reply")
     };
 
-    // Garbage, wrong shape, unknown type, wrong version: each answered
-    // with a structured error on the SAME connection.
+    // Garbage, wrong shape, unknown type, wrong version, nesting deep
+    // enough to overflow a recursive parser's stack: each answered with
+    // a structured error on the SAME connection.
+    let deep = "[".repeat(200_000);
     for (frame, class) in [
         ("this is not json", ErrorClass::Malformed),
         ("{\"v\":1}", ErrorClass::Malformed),
@@ -200,6 +202,7 @@ fn malformed_frames_get_structured_errors_and_connection_survives() {
             "{\"v\":1,\"type\":\"submit\",\"jobs\":[{\"trace\":\"nope\"}]}",
             ErrorClass::Malformed,
         ),
+        (deep.as_str(), ErrorClass::Malformed),
     ] {
         match exchange(frame) {
             Response::Error {
@@ -226,7 +229,7 @@ fn malformed_frames_get_structured_errors_and_connection_survives() {
     let client = Client::new(server.addr().to_string());
     client.ping().expect("server survived malformed frames");
     let m = client.metrics().unwrap();
-    assert_eq!(m.get("errors_malformed").unwrap().as_u64(), Some(4));
+    assert_eq!(m.get("errors_malformed").unwrap().as_u64(), Some(5));
     assert_eq!(m.get("errors_unsupported_version").unwrap().as_u64(), Some(1));
     server.shutdown();
 }

@@ -212,8 +212,9 @@ pub struct SystemState {
     pub free_chains: Vec<u64>,
     /// Statistics collected so far.
     pub stats: Stats,
-    /// Security-extension state from [`Extension::snapshot`]
-    /// (`crate::extension::Extension::snapshot`), in capture order.
+    /// Security-extension state from
+    /// [`Extension::snapshot`](crate::extension::Extension::snapshot), in
+    /// capture order.
     pub ext: Vec<(String, u64)>,
 }
 

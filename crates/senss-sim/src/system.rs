@@ -110,7 +110,7 @@ struct TxnSlot {
 /// The event loop is the whole-repo hot path (every figure is thousands
 /// of [`System::run`] calls), so its bookkeeping avoids hashing and
 /// per-transaction allocation — see `docs/perf.md` for the design and
-/// the `sim_hotpath` numbers backing it:
+/// the `perfbench` rows backing it:
 ///
 /// * transactions live in a free-list slab indexed by the (recycled)
 ///   token carried in every [`BusRequest`],
@@ -323,8 +323,8 @@ impl<E: Extension, S: TraceSink> System<E, S> {
 
     /// Number of events the main loop has dispatched so far. Not part of
     /// [`Stats`] (it is a property of the simulator, not of the simulated
-    /// machine); the `sim_hotpath` micro-benchmark divides it by wall
-    /// time to report events/sec.
+    /// machine); `perfbench` divides it by wall time to report
+    /// `events_per_s`.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -584,7 +584,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     /// Rebuilds a mid-run system from a captured [`SystemState`], a
     /// fresh extension (configured identically to the captured run's —
     /// its mutable state is re-imposed via
-    /// [`Extension::restore`](crate::extension::Extension::restore)),
+    /// [`Extension::restore`]),
     /// and a sink for the continuation's trace events.
     ///
     /// [`System::finish`] on the result produces bit-identical [`Stats`]

@@ -347,7 +347,7 @@ impl Snapshot {
         let stats = decode_stats(&mut p)?;
         let events = {
             let mut f = p.tagged("events")?;
-            let n = f.usize()?;
+            let n = f.count()?;
             let mut events = Vec::with_capacity(n);
             for _ in 0..n {
                 let (time, seq, kind, arg) = (f.u64()?, f.u64()?, f.u64()?, f.u64()?);
@@ -392,7 +392,7 @@ impl Snapshot {
             };
             f.done()?;
             let mut f = p.tagged("ops")?;
-            let n = f.usize()?;
+            let n = f.count()?;
             let mut ops = Vec::with_capacity(n);
             for _ in 0..n {
                 let (gap, kind, addr) = (f.u64()?, f.u64()?, f.u64()?);
@@ -425,12 +425,12 @@ impl Snapshot {
                     return Err(f.err(format!("expected cache {level} {idx}, found {got}")));
                 }
                 let use_clock = f.u64()?;
-                let nsets = f.usize()?;
+                let nsets = f.count()?;
                 f.done()?;
                 let mut sets = Vec::with_capacity(nsets);
                 for _ in 0..nsets {
                     let mut f = p.tagged("set")?;
-                    let n = f.usize()?;
+                    let n = f.count()?;
                     let mut set = Vec::with_capacity(n);
                     for _ in 0..n {
                         set.push(LineSnap {
@@ -462,7 +462,7 @@ impl Snapshot {
             if got != pid {
                 return Err(f.err(format!("expected queue {pid}, found {got}")));
             }
-            let n = f.usize()?;
+            let n = f.count()?;
             let mut q = Vec::with_capacity(n);
             for _ in 0..n {
                 q.push(decode_request(&mut f)?);
@@ -472,7 +472,7 @@ impl Snapshot {
         }
         let injected = {
             let mut f = p.tagged("inj")?;
-            let n = f.usize()?;
+            let n = f.count()?;
             let mut inj = Vec::with_capacity(n);
             for _ in 0..n {
                 inj.push(decode_request(&mut f)?);
@@ -482,7 +482,7 @@ impl Snapshot {
         };
         let (slots_len, slots_live) = {
             let mut f = p.tagged("slots")?;
-            let v = (f.usize()?, f.usize()?);
+            let v = (f.count()?, f.usize()?);
             f.done()?;
             v
         };
@@ -530,7 +530,7 @@ impl Snapshot {
         let free_tokens = decode_u64_list(&mut p, "free_tokens")?;
         let inflight_lines = {
             let mut f = p.tagged("inflight")?;
-            let n = f.usize()?;
+            let n = f.count()?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push((f.u64()?, f.u64()?));
@@ -540,7 +540,7 @@ impl Snapshot {
         };
         let (chains_len, chains_live) = {
             let mut f = p.tagged("chains")?;
-            let v = (f.usize()?, f.usize()?);
+            let v = (f.count()?, f.usize()?);
             f.done()?;
             v
         };
@@ -553,7 +553,7 @@ impl Snapshot {
             }
             let pid = f.usize()?;
             let blocking = f.bool()?;
-            let nsteps = f.usize()?;
+            let nsteps = f.count()?;
             f.done()?;
             let mut f = p.tagged("steps")?;
             let mut steps = Vec::with_capacity(nsteps);
@@ -579,7 +579,7 @@ impl Snapshot {
         let free_chains = decode_u64_list(&mut p, "free_chains")?;
         let n_ext = {
             let mut f = p.tagged("ext")?;
-            let n = f.usize()?;
+            let n = f.count()?;
             f.done()?;
             n
         };
@@ -706,7 +706,7 @@ fn encode_cfg(w: &mut String, cfg: &SystemConfig) {
 fn decode_cfg(p: &mut Parser<'_>) -> Result<SystemConfig, SnapshotError> {
     let mut f = p.tagged("cfg")?;
     let cfg = SystemConfig {
-        num_processors: f.usize()?,
+        num_processors: f.count()?,
         l1_size: f.usize()?,
         l1_ways: f.usize()?,
         l1_line: f.usize()?,
@@ -816,7 +816,7 @@ fn decode_stats(p: &mut Parser<'_>) -> Result<Stats, SnapshotError> {
 
 fn decode_u64_list(p: &mut Parser<'_>, tag: &str) -> Result<Vec<u64>, SnapshotError> {
     let mut f = p.tagged(tag)?;
-    let n = f.usize()?;
+    let n = f.count()?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
         v.push(f.u64()?);
@@ -920,6 +920,8 @@ fn supplier_from_u64(kind: u64, arg: u64) -> Result<Supplier, String> {
 struct Parser<'a> {
     lines: std::str::Lines<'a>,
     lineno: usize,
+    /// Bytes of input from the start of the next line to the end.
+    left: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -927,14 +929,18 @@ impl<'a> Parser<'a> {
         Parser {
             lines: text.lines(),
             lineno: 0,
+            left: text.len(),
         }
     }
 
     fn line<'p>(&'p mut self) -> Result<Fields<'a, 'p>, SnapshotError> {
         let line = self.lines.next().ok_or(SnapshotError::Truncated)?;
         self.lineno += 1;
+        let left = self.left;
+        self.left = left.saturating_sub(line.len() + 1);
         Ok(Fields {
             line: self.lineno,
+            left,
             toks: line.split_whitespace(),
             _parser: std::marker::PhantomData,
         })
@@ -975,6 +981,8 @@ impl<'a> Parser<'a> {
 
 struct Fields<'a, 'p> {
     line: usize,
+    /// Bytes of input from the start of this line to the end.
+    left: usize,
     toks: std::str::SplitWhitespace<'a>,
     _parser: std::marker::PhantomData<&'p ()>,
 }
@@ -1007,6 +1015,19 @@ impl<'a> Fields<'a, '_> {
     fn usize(&mut self) -> Result<usize, SnapshotError> {
         let v = self.u64()?;
         self.cast_usize(v)
+    }
+
+    /// A count of elements that follow in the input, such as a list's
+    /// length or a slab's, whose every index is either a live entry's
+    /// line or on its free list. Each element takes at least one byte of
+    /// text, so a count larger than the bytes left is corrupt; rejecting
+    /// it bounds every allocation by the input's size.
+    fn count(&mut self) -> Result<usize, SnapshotError> {
+        let n = self.usize()?;
+        if n > self.left {
+            return Err(self.err(format!("count {n} exceeds the {} bytes left", self.left)));
+        }
+        Ok(n)
     }
 
     fn cast_usize(&self, v: u64) -> Result<usize, SnapshotError> {
@@ -1117,13 +1138,25 @@ mod tests {
     #[test]
     fn corrupt_tokens_are_rejected_loudly() {
         let text = mid_run_snapshot(2_000).encode();
-        for bad in ["-1", "1.5", "1e9", "+7", "NaN", "inf", "0x10"] {
-            let corrupted = text.replacen("meta ", &format!("meta {bad} "), 1);
-            let err = Snapshot::decode(&corrupted).expect_err(bad);
+        let rejected = |bad: &str, corrupted: &str| {
+            let err = Snapshot::decode(corrupted).expect_err(bad);
             assert!(
                 matches!(err, SnapshotError::Line { .. }),
                 "{bad} must fail as a line error, got {err:?}"
             );
+        };
+        for bad in ["-1", "1.5", "1e9", "+7", "NaN", "inf", "0x10"] {
+            rejected(bad, &text.replacen("meta ", &format!("meta {bad} "), 1));
+        }
+        // Counts no input of this size can back must not size an allocation.
+        for (tag, line) in [
+            ("events", "events 18446744073709551615"),
+            ("events", "events 1099511627776"),
+            ("slots", "slots 1099511627776 1"),
+        ] {
+            let at = text.find(&format!("\n{tag} ")).expect(tag) + 1;
+            let end = at + text[at..].find('\n').expect("line end");
+            rejected(line, &format!("{}{line}{}", &text[..at], &text[end..]));
         }
     }
 

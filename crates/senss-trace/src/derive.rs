@@ -37,7 +37,7 @@ impl LatencySummary {
         }
         samples.sort_unstable();
         let n = samples.len();
-        // Nearest-rank percentile, like the sim_hotpath bench.
+        // Nearest-rank percentile, like perfbench.
         let rank = |q: f64| -> u64 {
             let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
             samples[idx]

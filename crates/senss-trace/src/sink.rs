@@ -60,7 +60,7 @@ pub struct RingSink {
 }
 
 impl RingSink {
-    /// A ring with [`DEFAULT_RING_CAPACITY`].
+    /// A ring with `DEFAULT_RING_CAPACITY` slots.
     pub fn new() -> RingSink {
         RingSink::with_capacity(DEFAULT_RING_CAPACITY)
     }

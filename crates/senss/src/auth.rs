@@ -169,7 +169,7 @@ pub fn authenticate_round(
     }
 }
 
-/// The non-chained per-message baseline (Shi et al. [20]).
+/// The non-chained per-message baseline (Shi et al. \[20\]).
 #[derive(Debug, Clone)]
 pub struct BaselineAuth {
     mac: UnchainedMac,

@@ -196,7 +196,10 @@ pub fn type3_subset_spoof() -> AttackReport {
     f.deliver(&m, c);
     // Forged message "from C", shown only to B.
     let forged = BusMessage {
-        tag: MessageTag { gid: f.gid(), pid: c },
+        tag: MessageTag {
+            gid: f.gid(),
+            pid: c,
+        },
         payload: line(9),
     };
     let accepted = f.deliver(&forged, b).is_some();
@@ -232,9 +235,7 @@ pub fn type3_replay() -> AttackReport {
         name: "type3-replay",
         detected_by_senss: matches!(outcome, AuthOutcome::AlarmRaised { .. }) || garbage,
         detected_by_baseline: !baseline_fooled,
-        detail: format!(
-            "replay decrypted to garbage: {garbage}; auth outcome {outcome:?}"
-        ),
+        detail: format!("replay decrypted to garbage: {garbage}; auth outcome {outcome:?}"),
     }
 }
 
@@ -253,7 +254,8 @@ pub fn type2_tamper_in_flight() -> AttackReport {
     msg.payload[1] ^= senss_crypto::Block::from_words(0x40, 0);
     let got = f.deliver(&msg, b).expect("fabric delivers; crypto decides");
     let garbled = got != data;
-    let baseline_catches = !base.verify(got[0], tag) || garbled && !base.verify(got[1], base.tag(data[1]));
+    let baseline_catches =
+        !base.verify(got[0], tag) || garbled && !base.verify(got[1], base.tag(data[1]));
     let outcome = f.run_auth_round(a);
     AttackReport {
         name: "type2-tamper-in-flight",
@@ -285,7 +287,11 @@ mod tests {
         let reports = all();
         assert_eq!(reports.len(), 7);
         for r in reports {
-            assert!(r.detected_by_senss, "{}: SENSS missed it — {}", r.name, r.detail);
+            assert!(
+                r.detected_by_senss,
+                "{}: SENSS missed it — {}",
+                r.name, r.detail
+            );
         }
     }
 

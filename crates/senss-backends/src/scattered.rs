@@ -173,7 +173,9 @@ impl ScatteredExtension {
     /// The sibling-share addresses fetched on a fill (and updated on a
     /// writeback) of `addr`.
     fn sibling_shares(&self, addr: u64) -> Vec<u64> {
-        (1..self.cfg.shares).map(|i| self.share_addr(addr, i)).collect()
+        (1..self.cfg.shares)
+            .map(|i| self.share_addr(addr, i))
+            .collect()
     }
 
     /// Functional reconstruction check for a fill of `addr`: derive the
@@ -234,9 +236,7 @@ impl Extension for ScatteredExtension {
     ) -> Vec<FollowUp> {
         if txn.is_cache_to_cache() {
             self.stats.secured_transfers += 1;
-        } else if matches!(txn.supplier, Supplier::Memory)
-            && txn.request.addr < SHARE_REGION_BASE
-        {
+        } else if matches!(txn.supplier, Supplier::Memory) && txn.request.addr < SHARE_REGION_BASE {
             // A workload line arrived from memory: its sibling shares
             // were chained for fetch; run the reconstruction check.
             self.reconstruct_and_verify(txn.request.addr);
@@ -372,7 +372,11 @@ mod tests {
     #[test]
     fn reconstruction_replaces_hash_latency() {
         let e = ScatteredExtension::new(ScatteredConfig::paper_default(4));
-        assert_eq!(e.hash_latency(), 12, "XOR reconstruction, not a 160-cycle hash");
+        assert_eq!(
+            e.hash_latency(),
+            12,
+            "XOR reconstruction, not a 160-cycle hash"
+        );
     }
 
     #[test]
@@ -388,7 +392,9 @@ mod tests {
     fn memory_fill_runs_a_reconstruction_check() {
         let mut e = ScatteredExtension::new(ScatteredConfig::paper_default(2));
         e.integrity_chain(0, 0x2_0080);
-        assert!(e.transaction_complete(&mem_txn(0x2_0080), 10, &mut tr()).is_empty());
+        assert!(e
+            .transaction_complete(&mem_txn(0x2_0080), 10, &mut tr())
+            .is_empty());
         assert_eq!(e.stats().reconstructions, 1);
         assert_eq!(e.stats().fills_checked, 1);
         // Share-region fills must not themselves be checked.
@@ -424,7 +430,10 @@ mod tests {
         fresh.restore(&state);
         let mut again = Vec::new();
         fresh.snapshot(&mut again);
-        assert_eq!(state, again, "snapshot → restore → snapshot must be identity");
+        assert_eq!(
+            state, again,
+            "snapshot → restore → snapshot must be identity"
+        );
         assert_eq!(fresh.stats(), e.stats());
     }
 

@@ -212,9 +212,7 @@ mod tests {
         // so a sustained bus-rate burst never stalls. The same burst on
         // the paper's 80-cycle unit with 2 masks stalls on most grants.
         let mut sealer = SealerExtension::new(SealerConfig::paper_default(2));
-        let mut paper = SenssExtension::new(
-            SenssConfig::paper_default(2).with_masks(2),
-        );
+        let mut paper = SenssExtension::new(SenssConfig::paper_default(2).with_masks(2));
         let mut sealer_stall = 0;
         let mut paper_stall = 0;
         for i in 0..100u64 {

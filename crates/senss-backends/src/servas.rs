@@ -102,12 +102,8 @@ impl ServasExtension {
     /// Creates the extension.
     pub fn new(cfg: ServasConfig) -> ServasExtension {
         ServasExtension {
-            masks: MaskArray::new(
-                cfg.num_masks,
-                cfg.aes_latency,
-                cfg.aes_initiation_interval,
-            )
-            .with_issues_per_use(1),
+            masks: MaskArray::new(cfg.num_masks, cfg.aes_latency, cfg.aes_initiation_interval)
+                .with_issues_per_use(1),
             aes: Aes::new_128(&SERVAS_KEY),
             transfers: 0,
             chain: Block::ZERO,
@@ -301,7 +297,10 @@ mod tests {
         // bus cycle; the fused single pass does not.
         let mut e = ServasExtension::new(ServasConfig::paper_default(2));
         for i in 0..200u64 {
-            assert_eq!(e.transfer_start_delay(&c2c_txn(0, 0x40), i * 10, &mut tr()), 0);
+            assert_eq!(
+                e.transfer_start_delay(&c2c_txn(0, 0x40), i * 10, &mut tr()),
+                0
+            );
         }
     }
 
@@ -337,7 +336,10 @@ mod tests {
         fresh.restore(&state);
         let mut again = Vec::new();
         fresh.snapshot(&mut again);
-        assert_eq!(state, again, "snapshot → restore → snapshot must be identity");
+        assert_eq!(
+            state, again,
+            "snapshot → restore → snapshot must be identity"
+        );
         // The restored extension continues identically.
         let a = e.transfer_start_delay(&c2c_txn(0, 0x1000), 400, &mut tr());
         let b = fresh.transfer_start_delay(&c2c_txn(0, 0x1000), 400, &mut tr());

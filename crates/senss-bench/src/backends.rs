@@ -18,8 +18,8 @@
 //! snapshot-forked execution is genuinely exercised rather than
 //! degenerating to all-cold runs.
 
-use crate::sweeps::{JobSpec, SecurityMode, SweepResult, SweepSpec};
 use crate::overhead;
+use crate::sweeps::{JobSpec, SecurityMode, SweepResult, SweepSpec};
 use senss_workloads::Workload;
 
 /// Processor counts of the cross-backend figure.
@@ -97,7 +97,12 @@ impl BackendCell {
         format!(
             "{{\"figure\":\"backends\",\"workload\":\"{}\",\"cores\":{},\"scale\":{},\
              \"mode\":\"{}\",\"label\":\"{}\",\"slowdown_pct\":{:.6},\"traffic_pct\":{:.6}}}",
-            self.workload, self.cores, self.scale, self.tag, self.label, self.slowdown_pct,
+            self.workload,
+            self.cores,
+            self.scale,
+            self.tag,
+            self.label,
+            self.slowdown_pct,
             self.traffic_pct
         )
     }
@@ -111,7 +116,12 @@ impl BackendCell {
 ///
 /// Panics if the result is missing any job of [`sweep`]'s grid (the
 /// `ops`/`seed` arguments must match the ones the sweep was built with).
-pub fn cells(result: &SweepResult, workloads: &[Workload], ops: usize, seed: u64) -> Vec<BackendCell> {
+pub fn cells(
+    result: &SweepResult,
+    workloads: &[Workload],
+    ops: usize,
+    seed: u64,
+) -> Vec<BackendCell> {
     let mut out = Vec::new();
     for (label, mode) in modes().into_iter().skip(1) {
         for &w in workloads {
@@ -153,7 +163,9 @@ pub fn human_table(cells: &[BackendCell], workloads: &[Workload], ops: usize) ->
     let full = scale_points(ops)[2];
     let mut out = String::new();
     for &cores in &CORES {
-        out.push_str(&format!("-- {cores}P: % slowdown vs baseline (ops={full}) --\n"));
+        out.push_str(&format!(
+            "-- {cores}P: % slowdown vs baseline (ops={full}) --\n"
+        ));
         out.push_str(&format!("{:<12}", "backend"));
         for w in workloads {
             out.push_str(&format!("{:>9}", w.name()));
@@ -202,11 +214,7 @@ mod tests {
         let group: Vec<_> = s
             .jobs
             .iter()
-            .filter(|j| {
-                j.trace == first.trace
-                    && j.cores == first.cores
-                    && j.mode == first.mode
-            })
+            .filter(|j| j.trace == first.trace && j.cores == first.cores && j.mode == first.mode)
             .collect();
         assert_eq!(group.len(), 3);
     }

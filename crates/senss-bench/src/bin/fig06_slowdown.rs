@@ -41,10 +41,7 @@ fn main() {
         println!(
             "{}",
             format_table(
-                &format!(
-                    "Write-Invalidate + {}M write-back L2: % slowdown",
-                    l2 >> 20
-                ),
+                &format!("Write-Invalidate + {}M write-back L2: % slowdown", l2 >> 20),
                 &rows
             )
         );

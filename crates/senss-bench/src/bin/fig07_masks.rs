@@ -23,7 +23,14 @@ fn main() {
     let mut modes = vec![SecurityMode::Baseline];
     modes.extend(variants.iter().map(|&(_, m)| SecurityMode::senss_masks(m)));
     let mut sweep = SweepSpec::new("fig07");
-    sweep.grid(&workload_columns(), &[4], &[4 << 20], &modes, env.ops, env.seed);
+    sweep.grid(
+        &workload_columns(),
+        &[4],
+        &[4 << 20],
+        &modes,
+        env.ops,
+        env.seed,
+    );
     let result = sweeps::execute(&sweep);
 
     let mut slow_rows = Vec::new();

@@ -16,7 +16,14 @@ fn main() {
     let mut modes = vec![SecurityMode::Baseline];
     modes.extend(intervals.iter().map(|&i| SecurityMode::senss_interval(i)));
     let mut sweep = SweepSpec::new("fig09");
-    sweep.grid(&workload_columns(), &[4], &[4 << 20], &modes, env.ops, env.seed);
+    sweep.grid(
+        &workload_columns(),
+        &[4],
+        &[4 << 20],
+        &modes,
+        env.ops,
+        env.seed,
+    );
     let result = sweeps::execute(&sweep);
 
     let mut slow_rows = Vec::new();

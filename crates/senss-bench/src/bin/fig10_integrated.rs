@@ -23,7 +23,14 @@ fn main() {
     let mut modes = vec![SecurityMode::Baseline];
     modes.extend(flavours.iter().map(|&(_, m)| m));
     let mut sweep = SweepSpec::new("fig10");
-    sweep.grid(&workload_columns(), &[4], &[1 << 20], &modes, env.ops, env.seed);
+    sweep.grid(
+        &workload_columns(),
+        &[4],
+        &[1 << 20],
+        &modes,
+        env.ops,
+        env.seed,
+    );
     let result = sweeps::execute(&sweep);
 
     let mut slow_rows = Vec::new();
@@ -45,9 +52,8 @@ fn main() {
     println!("{}", format_table("% bus activity increase", &traffic_rows));
 
     // Detail: what the extra traffic is made of, for one workload.
-    let stats = result.require(
-        &sweeps::point(Workload::Ocean, 4, 1 << 20).with_mode(SecurityMode::integrated()),
-    );
+    let stats = result
+        .require(&sweeps::point(Workload::Ocean, 4, 1 << 20).with_mode(SecurityMode::integrated()));
     println!("ocean detail: hash fetches = {}, hash writebacks = {}, pad invalidates = {}, pad requests = {}",
         stats.txn_hash_fetch, stats.txn_hash_writeback,
         stats.txn_pad_invalidate, stats.txn_pad_request);

@@ -47,7 +47,8 @@ fn main() {
     );
     println!(
         "  hit/miss mix changed: {} (the reordering effect)\n",
-        base.l1_hits != sec.l1_hits || base.cache_to_cache_transfers != sec.cache_to_cache_transfers
+        base.l1_hits != sec.l1_hits
+            || base.cache_to_cache_transfers != sec.cache_to_cache_transfers
     );
 
     // Seed sweep: the distribution of slowdowns includes negative values.

@@ -53,8 +53,7 @@ fn main() {
     let stats = result.require(&job);
     println!(
         "Dynamic cross-check (ocean, 4P, 4MB L2, ops/core = {}, seed = {}):",
-        env.ops,
-        env.seed
+        env.ops, env.seed
     );
     println!(
         "  c2c transfers = {}, auth transactions = {} (expected ~ c2c/100 = {})",
@@ -63,5 +62,7 @@ fn main() {
         stats.cache_to_cache_transfers / 100
     );
 
-    println!("\nPaper reference: matrix 640 bytes; table 1161 bits/entry, 148.6 KB; +3.1% bus lines.");
+    println!(
+        "\nPaper reference: matrix 640 bytes; table 1161 bits/entry, 148.6 KB; +3.1% bus lines."
+    );
 }

@@ -10,8 +10,8 @@
 //! overhead comparison. `--memprot none|otp|chash|lhash` selects the §6
 //! stack; `--cipher cbc|gcm` the §4.3 algorithm pair.
 
-use senss::secure_bus::{CipherMode, SenssConfig, SenssExtension};
 use senss::mask::PERFECT_MASKS;
+use senss::secure_bus::{CipherMode, SenssConfig, SenssExtension};
 use senss_memprot::{IntegrityMode, MemProtConfig, MemProtPolicy, PadProtocol};
 use senss_sim::{NullExtension, System, SystemConfig};
 use senss_workloads::Workload;
@@ -59,10 +59,12 @@ fn parse_args() -> CliArgs {
             None => usage(),
         };
         match flag {
-            "--workload" => args.workload = value.parse().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                usage()
-            }),
+            "--workload" => {
+                args.workload = value.parse().unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                })
+            }
             "--cores" => args.cores = value.parse().unwrap_or_else(|_| usage()),
             "--l2-mb" => args.l2_mb = value.parse().unwrap_or_else(|_| usage()),
             "--masks" => {
@@ -98,7 +100,11 @@ fn main() {
         a.workload,
         a.cores,
         a.l2_mb,
-        if a.masks == PERFECT_MASKS { "perfect".to_string() } else { a.masks.to_string() },
+        if a.masks == PERFECT_MASKS {
+            "perfect".to_string()
+        } else {
+            a.masks.to_string()
+        },
         a.interval,
         a.ops,
         a.seed,

@@ -123,7 +123,11 @@ fn backend_stats_match_golden_records_and_survive_checkpoints() {
             let back = Snapshot::decode(&text)
                 .unwrap_or_else(|e| panic!("{name}@{cycle}: snapshot does not decode: {e}"));
             assert_eq!(back, snap, "{name}@{cycle}: codec round-trip changed state");
-            assert_eq!(back.encode(), text, "{name}@{cycle}: re-encode not canonical");
+            assert_eq!(
+                back.encode(),
+                text,
+                "{name}@{cycle}: re-encode not canonical"
+            );
 
             let warm = back.restore(spec.build_extension()).finish();
             assert_eq!(

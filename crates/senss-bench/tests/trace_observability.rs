@@ -47,11 +47,7 @@ fn traced_run_ties_out_against_stats() {
     let (stats, sink) = job.run_with_sink(RingSink::new());
     assert_eq!(sink.dropped(), 0, "ring must hold the whole run");
     assert!(!sink.is_empty());
-    assert_eq!(
-        stats,
-        job.run(),
-        "tracing must not perturb the simulation"
-    );
+    assert_eq!(stats, job.run(), "tracing must not perturb the simulation");
 
     let derived = fold(sink.events(), 1 << 14);
     for class in TxnClass::ALL {
@@ -68,7 +64,10 @@ fn traced_run_ties_out_against_stats() {
         "sum of BusGrant busy must reproduce Stats::bus_busy_cycles"
     );
     assert_eq!(derived.mem_fills, stats.memory_transfers);
-    assert_eq!(derived.unmatched_done, 0, "complete trace, no orphan closes");
+    assert_eq!(
+        derived.unmatched_done, 0,
+        "complete trace, no orphan closes"
+    );
 }
 
 #[test]

@@ -484,10 +484,9 @@ mod tests {
     #[test]
     fn fips197_aes256_vector() {
         // FIPS-197 Appendix C.3.
-        let key: [u8; 32] =
-            hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
-                .try_into()
-                .unwrap();
+        let key: [u8; 32] = hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
+            .try_into()
+            .unwrap();
         let aes = Aes::new_256(&key);
         let pt = hex_block("00112233445566778899aabbccddeeff");
         let ct = aes.encrypt_block(pt);

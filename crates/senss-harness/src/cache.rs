@@ -119,7 +119,10 @@ impl ResultCache {
         ])
         .encode();
         line.push('\n');
-        let mut f = OpenOptions::new().create(true).append(true).open(&self.path)?;
+        let mut f = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&self.path)?;
         f.write_all(line.as_bytes())?;
         self.entries.insert(key.to_string(), stats.clone());
         Ok(())
@@ -158,10 +161,8 @@ mod tests {
     use super::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "senss-harness-cache-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("senss-harness-cache-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -193,12 +194,24 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let older = Value::Obj(vec![
             ("key".into(), Value::Str("dup".into())),
-            ("stats".into(), encode_stats(&Stats { total_cycles: 1, ..Stats::default() })),
+            (
+                "stats".into(),
+                encode_stats(&Stats {
+                    total_cycles: 1,
+                    ..Stats::default()
+                }),
+            ),
         ])
         .encode();
         let newer = Value::Obj(vec![
             ("key".into(), Value::Str("dup".into())),
-            ("stats".into(), encode_stats(&Stats { total_cycles: 2, ..Stats::default() })),
+            (
+                "stats".into(),
+                encode_stats(&Stats {
+                    total_cycles: 2,
+                    ..Stats::default()
+                }),
+            ),
         ])
         .encode();
         fs::write(

@@ -244,8 +244,8 @@ mod tests {
         let mut v = LazyVerifier::new(64);
         v.write(0x200, vec![1; 64]); // ts 1
         v.write(0x200, vec![2; 64]); // ts 2
-        // Adversary restores the old (value, timestamp) pair — the replay
-        // attack plain MACs cannot see.
+                                     // Adversary restores the old (value, timestamp) pair — the replay
+                                     // attack plain MACs cannot see.
         v.tamper(0x200, vec![1; 64], 1);
         let got = v.read(0x200).unwrap();
         assert_eq!(got, vec![1; 64], "the processor is fooled *for now*");

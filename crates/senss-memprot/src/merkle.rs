@@ -47,7 +47,10 @@ impl TreeGeometry {
             data_span.is_power_of_two() && data_span >= 2 * LINE_BYTES,
             "data span must be a power of two covering at least two lines"
         );
-        assert!(data_span <= HASH_REGION_BASE, "data span overlaps hash region");
+        assert!(
+            data_span <= HASH_REGION_BASE,
+            "data span overlaps hash region"
+        );
         let mut level_bases = Vec::new();
         let mut nodes = data_span / LINE_BYTES; // lines at level 0 (data)
         let mut base = HASH_REGION_BASE;

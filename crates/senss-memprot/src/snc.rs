@@ -117,7 +117,13 @@ impl SeqNumCache {
     /// # Panics
     ///
     /// Panics if the entry count exceeds a finite cache's capacity.
-    pub fn restore_state(&mut self, entries: &[(u64, u64, u64)], clock: u64, hits: u64, misses: u64) {
+    pub fn restore_state(
+        &mut self,
+        entries: &[(u64, u64, u64)],
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    ) {
         if let Some(cap) = self.capacity {
             assert!(
                 entries.len() <= cap,

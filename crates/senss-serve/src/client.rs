@@ -228,11 +228,7 @@ impl Client {
     /// running when the stream is opened; the connection then waits on
     /// job completions, so size the client timeout to the sweep, not to
     /// one round-trip.
-    pub fn stream_with(
-        &self,
-        id: u64,
-        mut on_line: impl FnMut(&str),
-    ) -> Result<u64, ClientError> {
+    pub fn stream_with(&self, id: u64, mut on_line: impl FnMut(&str)) -> Result<u64, ClientError> {
         let (mut reader, header) = self.call(&Request::Stream { id })?;
         match header {
             Response::StreamHeader { .. } => {}

@@ -175,7 +175,9 @@ impl Coordinator {
             let proc_ = WorkerProc::spawn(&self.cfg.program, &self.cfg.worker_args)?;
             s.generation += 1;
             if s.ever_spawned {
-                self.metrics.workers_respawned.fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .workers_respawned
+                    .fetch_add(1, Ordering::Relaxed);
                 if let Some(w) = self.metrics.worker(slot) {
                     w.respawns.fetch_add(1, Ordering::Relaxed);
                 }

@@ -66,7 +66,9 @@ impl Flags {
                 i += 1;
                 continue;
             }
-            let Some(value) = argv.get(i + 1) else { usage() };
+            let Some(value) = argv.get(i + 1) else {
+                usage()
+            };
             pairs.push((key.to_string(), value.clone()));
             i += 2;
         }
@@ -144,9 +146,10 @@ fn base_config(flags: &Flags, default_addr: &str) -> ServerConfig {
     cfg.trace_workers = flags.parse_or("trace-workers", 2);
     cfg.quiet = flags.has("quiet");
     if flags.has("hermetic") {
-        cfg = cfg.with_harness(HarnessConfig::hermetic().with_workers(
-            std::thread::available_parallelism().map_or(2, |n| n.get()),
-        ));
+        cfg = cfg.with_harness(
+            HarnessConfig::hermetic()
+                .with_workers(std::thread::available_parallelism().map_or(2, |n| n.get())),
+        );
     }
     cfg
 }

@@ -217,7 +217,10 @@ impl Metrics {
     pub fn snapshot(&self) -> Value {
         let get = |a: &AtomicU64| Value::UInt(a.load(Ordering::Relaxed));
         let mut fields = vec![
-            ("connections_total".to_string(), get(&self.connections_total)),
+            (
+                "connections_total".to_string(),
+                get(&self.connections_total),
+            ),
             (
                 "connections_rejected".to_string(),
                 get(&self.connections_rejected),

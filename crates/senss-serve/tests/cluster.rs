@@ -158,17 +158,17 @@ fn killed_worker_mid_sweep_retries_the_shard_byte_identically() {
     let stream_thread = std::thread::spawn(move || streamer.stream_raw(id).expect("stream"));
 
     std::thread::sleep(Duration::from_millis(100));
-    server
-        .coordinator()
-        .expect("cluster mode")
-        .kill_worker(0);
+    server.coordinator().expect("cluster mode").kill_worker(0);
 
     wait_done(&client, id, Duration::from_secs(120));
     let expected = direct_result_lines(&sweep);
     assert_eq!(client.results_raw(id).expect("results"), expected);
     assert_eq!(stream_thread.join().expect("stream thread"), expected);
 
-    assert!(metric(&server, "shard_retries") >= 1, "kill must cost a retry");
+    assert!(
+        metric(&server, "shard_retries") >= 1,
+        "kill must cost a retry"
+    );
     assert!(metric(&server, "workers_respawned") >= 1);
     assert_eq!(metric(&server, "shards_completed"), 2);
     server.shutdown();
@@ -184,9 +184,7 @@ fn hundreds_of_idle_connections_are_served_concurrently() {
 
     const IDLE: usize = 512;
     let mut idle: Vec<TcpStream> = (0..IDLE)
-        .map(|i| {
-            TcpStream::connect(addr).unwrap_or_else(|e| panic!("connect {i}: {e}"))
-        })
+        .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
         .collect();
 
     // With all of them parked, a working client still gets full service.
@@ -194,7 +192,10 @@ fn hundreds_of_idle_connections_are_served_concurrently() {
     let sweep = cluster_sweep("busy", 13);
     let (id, _) = client.submit(&sweep).expect("submit");
     wait_done(&client, id, Duration::from_secs(60));
-    assert_eq!(client.results_raw(id).expect("results"), direct_result_lines(&sweep));
+    assert_eq!(
+        client.results_raw(id).expect("results"),
+        direct_result_lines(&sweep)
+    );
 
     assert!(
         metric(&server, "connections_open") >= IDLE as u64,
@@ -204,7 +205,8 @@ fn hundreds_of_idle_connections_are_served_concurrently() {
     // And every parked connection is still live: each one answers a
     // ping on the shared event loop.
     for (i, conn) in idle.iter_mut().enumerate() {
-        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         writeln!(conn, r#"{{"v":1,"type":"ping"}}"#).unwrap_or_else(|e| panic!("write {i}: {e}"));
         let mut line = String::new();
         BufReader::new(conn.try_clone().unwrap())

@@ -425,11 +425,7 @@ mod tests {
                 );
                 assert_eq!(
                     real.earliest_after(now),
-                    reference
-                        .iter()
-                        .map(|&(_, d)| d)
-                        .filter(|&t| t > now)
-                        .min()
+                    reference.iter().map(|&(_, d)| d).filter(|&t| t > now).min()
                 );
             }
             let back = InflightLines::from_entries(reference.clone());

@@ -129,10 +129,7 @@ impl Transaction {
     /// broadcasts carry data to every sharer, so they count.
     pub fn is_cache_to_cache(&self) -> bool {
         matches!(self.supplier, Supplier::Cache(_))
-            || matches!(
-                self.request.kind,
-                TxnKind::PadRequest | TxnKind::Update
-            )
+            || matches!(self.request.kind, TxnKind::PadRequest | TxnKind::Update)
     }
 }
 

@@ -62,7 +62,10 @@ impl<M: Default> SetAssocCache<M> {
     /// Panics unless `size`, `ways` and `line_size` are consistent powers
     /// of two with at least one set.
     pub fn new(size: usize, ways: usize, line_size: usize) -> SetAssocCache<M> {
-        assert!(line_size.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            line_size.is_power_of_two(),
+            "line size must be a power of two"
+        );
         assert!(ways > 0, "associativity must be positive");
         assert!(
             size.is_multiple_of(ways * line_size),
@@ -121,7 +124,10 @@ impl<M: Default> SetAssocCache<M> {
             *m = M::default();
         }
         for (idx, set) in sets.into_iter().enumerate() {
-            assert!(set.len() <= self.ways, "snapshot set wider than associativity");
+            assert!(
+                set.len() <= self.ways,
+                "snapshot set wider than associativity"
+            );
             let base = idx * self.ways;
             for (way, (tag, meta, last_use, valid)) in set.into_iter().enumerate() {
                 // Every slot a checkpoint carries was once filled; the
@@ -232,7 +238,10 @@ impl<M> SetAssocCache<M> {
         let mut free = None;
         for s in base..base + self.ways {
             if self.is_valid(s) {
-                assert!(self.tags[s] != tag, "inserting a line that is already present");
+                assert!(
+                    self.tags[s] != tag,
+                    "inserting a line that is already present"
+                );
             } else if free.is_none() {
                 free = Some(s);
             }

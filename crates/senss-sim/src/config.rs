@@ -124,22 +124,34 @@ impl SystemConfig {
         let mut s = String::new();
         s.push_str("Architectural Parameter        Value\n");
         s.push_str("------------------------------------------------\n");
-        s.push_str(&format!("Processors                     {}\n", self.num_processors));
+        s.push_str(&format!(
+            "Processors                     {}\n",
+            self.num_processors
+        ));
         s.push_str(&format!(
             "Separated L1 I- and D-cache    {}KB, {}-way, {}B line\n",
             self.l1_size >> 10,
             self.l1_ways,
             self.l1_line
         ));
-        s.push_str(&format!("L1 hit latency                 {} cycle\n", self.l1_hit_latency));
+        s.push_str(&format!(
+            "L1 hit latency                 {} cycle\n",
+            self.l1_hit_latency
+        ));
         s.push_str(&format!(
             "Integrated L2 Cache            {}MB, {}-way, {}B line\n",
             self.l2_size >> 20,
             self.l2_ways,
             self.l2_line
         ));
-        s.push_str(&format!("L2 hit latency                 {} cycle\n", self.l2_hit_latency));
-        s.push_str(&format!("Hashing latency                {} cycles\n", self.hash_latency));
+        s.push_str(&format!(
+            "L2 hit latency                 {} cycle\n",
+            self.l2_hit_latency
+        ));
+        s.push_str(&format!(
+            "Hashing latency                {} cycles\n",
+            self.hash_latency
+        ));
         s.push_str(&format!(
             "Cache-to-cache latency         {} cycles (uncontended)\n",
             self.cache_to_cache_latency
@@ -152,7 +164,10 @@ impl SystemConfig {
             "Shared bus                     3.2 GB/s, 100MHz, {}B line\n",
             self.bus_width
         ));
-        s.push_str(&format!("AES latency                    {} cycle\n", self.aes_latency));
+        s.push_str(&format!(
+            "AES latency                    {} cycle\n",
+            self.aes_latency
+        ));
         s.push_str("AES throughput                 3.2 GB/s\n");
         s
     }

@@ -68,7 +68,11 @@ impl Core {
     /// core may acquire a follow-up transaction (e.g. a write-update
     /// broadcast chained onto its fill).
     pub fn stall(&mut self) {
-        debug_assert_ne!(self.state, CoreState::Finished, "finished cores issue nothing");
+        debug_assert_ne!(
+            self.state,
+            CoreState::Finished,
+            "finished cores issue nothing"
+        );
         self.state = CoreState::WaitingBus;
     }
 
@@ -99,9 +103,7 @@ impl Core {
     /// Full mutable state for checkpoint capture:
     /// `(trace ops, trace cursor, pending op, state, ops_done,
     /// finished_at)`.
-    pub(crate) fn export_state(
-        &self,
-    ) -> (&[Op], usize, Option<Op>, CoreState, u64, Option<u64>) {
+    pub(crate) fn export_state(&self) -> (&[Op], usize, Option<Op>, CoreState, u64, Option<u64>) {
         let (ops, pos) = self.trace.export_state();
         (
             ops,
@@ -134,7 +136,11 @@ impl Core {
             // The cursor sits one past the last fetched op, which is the
             // pending one unless the trace is exhausted.
             if let Some(op) = pending_op {
-                assert_eq!(ops.get(pos - 1), Some(&op), "core {pid}: pending op mismatch");
+                assert_eq!(
+                    ops.get(pos - 1),
+                    Some(&op),
+                    "core {pid}: pending op mismatch"
+                );
             }
         }
         Core {
@@ -167,7 +173,10 @@ mod tests {
 
     #[test]
     fn walks_the_trace() {
-        let mut c = Core::new(1, VecTrace::new(vec![Op::read(5, 0x10), Op::write(7, 0x20)]));
+        let mut c = Core::new(
+            1,
+            VecTrace::new(vec![Op::read(5, 0x10), Op::write(7, 0x20)]),
+        );
         assert_eq!(c.pid(), 1);
         assert_eq!(c.pending_op(), Some(Op::read(5, 0x10)));
         assert_eq!(c.complete_op(100), Some(7));

@@ -48,8 +48,8 @@ pub mod extension;
 pub mod memory;
 pub mod mesi;
 mod sched;
-pub mod stats;
 pub mod state;
+pub mod stats;
 pub mod system;
 pub mod trace;
 

@@ -102,8 +102,7 @@ impl Stats {
         if baseline.total_cycles == 0 {
             return 0.0;
         }
-        (self.total_cycles as f64 - baseline.total_cycles as f64)
-            / baseline.total_cycles as f64
+        (self.total_cycles as f64 - baseline.total_cycles as f64) / baseline.total_cycles as f64
             * 100.0
     }
 
@@ -141,8 +140,8 @@ impl Stats {
         let Some(&max) = self.core_finish_times.iter().max() else {
             return 0.0;
         };
-        let mean = self.core_finish_times.iter().sum::<u64>() as f64
-            / self.core_finish_times.len() as f64;
+        let mean =
+            self.core_finish_times.iter().sum::<u64>() as f64 / self.core_finish_times.len() as f64;
         if mean == 0.0 {
             return 0.0;
         }
@@ -179,7 +178,8 @@ impl Stats {
         self.mask_stall_cycles += other.mask_stall_cycles;
         self.integrity_check_cycles += other.integrity_check_cycles;
         self.mask_stalled_transfers += other.mask_stalled_transfers;
-        self.core_finish_times.extend_from_slice(&other.core_finish_times);
+        self.core_finish_times
+            .extend_from_slice(&other.core_finish_times);
         self.core_ops.extend_from_slice(&other.core_ops);
     }
 

@@ -89,7 +89,11 @@ impl VecTrace {
     ///
     /// Panics if `pos` points past the end of `ops`.
     pub(crate) fn from_state(ops: Vec<Op>, pos: usize) -> VecTrace {
-        assert!(pos <= ops.len(), "trace cursor {pos} past {} ops", ops.len());
+        assert!(
+            pos <= ops.len(),
+            "trace cursor {pos} past {} ops",
+            ops.len()
+        );
         VecTrace { ops, pos }
     }
 

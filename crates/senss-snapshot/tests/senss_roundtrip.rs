@@ -34,7 +34,9 @@ fn traces(n: usize) -> Vec<VecTrace> {
 }
 
 fn make_ext() -> SenssExtension {
-    let cfg = SenssConfig::paper_default(4).with_masks(2).with_auth_interval(20);
+    let cfg = SenssConfig::paper_default(4)
+        .with_masks(2)
+        .with_auth_interval(20);
     let policy = MemProtPolicy::new(MemProtConfig::paper_default(4));
     SenssExtension::new(cfg).with_memory_protection(policy)
 }
@@ -44,7 +46,10 @@ fn senss_extension_round_trips_through_text_codec() {
     let cfg = SystemConfig::e6000(4, 1 << 20);
     let cold = System::new(cfg.clone(), traces(500), make_ext()).run();
     assert!(cold.txn_auth > 0, "auth path not exercised");
-    assert!(cold.txn_pad_request + cold.txn_pad_invalidate > 0, "pad path not exercised");
+    assert!(
+        cold.txn_pad_request + cold.txn_pad_invalidate > 0,
+        "pad path not exercised"
+    );
 
     for divisor in [5, 3, 2] {
         let cycle = cold.total_cycles / divisor;

@@ -240,11 +240,15 @@ where
                 }
                 m.last_cycle = m.last_cycle.max(end);
             }
-            TraceEvent::TxnStart { time, token, kind, .. } => {
+            TraceEvent::TxnStart {
+                time, token, kind, ..
+            } => {
                 m.txn_counts[kind.index()] += 1;
                 open.insert(token, time);
             }
-            TraceEvent::TxnDone { time, token, kind, .. } => match open.remove(&token) {
+            TraceEvent::TxnDone {
+                time, token, kind, ..
+            } => match open.remove(&token) {
                 Some(started) => {
                     samples[kind.index()].push(time.saturating_sub(started));
                 }
@@ -402,8 +406,14 @@ mod tests {
             },
         ];
         let m = fold(&events, 16);
-        assert_eq!(m.mesi_transitions[MesiPoint::Invalid.index()][MesiPoint::Exclusive.index()], 1);
-        assert_eq!(m.mesi_transitions[MesiPoint::Exclusive.index()][MesiPoint::Shared.index()], 1);
+        assert_eq!(
+            m.mesi_transitions[MesiPoint::Invalid.index()][MesiPoint::Exclusive.index()],
+            1
+        );
+        assert_eq!(
+            m.mesi_transitions[MesiPoint::Exclusive.index()][MesiPoint::Shared.index()],
+            1
+        );
         assert_eq!(m.shu_encrypts, 1);
         assert_eq!(m.shu_stall_cycles, 4);
         assert_eq!(m.shu_verifies, 1);

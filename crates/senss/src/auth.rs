@@ -215,8 +215,7 @@ mod tests {
 
     #[test]
     fn consistent_group_authenticates() {
-        let mut engines: Vec<AuthEngine> =
-            (0..4).map(|_| AuthEngine::new(aes(), iv())).collect();
+        let mut engines: Vec<AuthEngine> = (0..4).map(|_| AuthEngine::new(aes(), iv())).collect();
         for i in 0..50u8 {
             let d = Block::from([i; 16]);
             let pid = ProcessorId::new(i % 4);
@@ -224,10 +223,8 @@ mod tests {
                 e.observe(d, pid);
             }
         }
-        let refs: Vec<(ProcessorId, &AuthEngine)> = pids(4)
-            .into_iter()
-            .zip(engines.iter())
-            .collect();
+        let refs: Vec<(ProcessorId, &AuthEngine)> =
+            pids(4).into_iter().zip(engines.iter()).collect();
         assert_eq!(
             authenticate_round(&refs, ProcessorId::new(0), 64),
             AuthOutcome::Consistent
@@ -236,8 +233,7 @@ mod tests {
 
     #[test]
     fn divergent_member_raises_alarm() {
-        let mut engines: Vec<AuthEngine> =
-            (0..3).map(|_| AuthEngine::new(aes(), iv())).collect();
+        let mut engines: Vec<AuthEngine> = (0..3).map(|_| AuthEngine::new(aes(), iv())).collect();
         let d = Block::from([0x42; 16]);
         engines[0].observe(d, ProcessorId::new(0));
         engines[1].observe(d, ProcessorId::new(0));

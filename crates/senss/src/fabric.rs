@@ -200,7 +200,11 @@ impl GroupFabric {
     /// The common un-attacked path: send from `sender` and deliver to every
     /// other member; then tick the authentication schedule, running a round
     /// if due. Returns each receiver's recovered plaintext.
-    pub fn broadcast(&mut self, sender: ProcessorId, data: &[Block]) -> Vec<(ProcessorId, Vec<Block>)> {
+    pub fn broadcast(
+        &mut self,
+        sender: ProcessorId,
+        data: &[Block],
+    ) -> Vec<(ProcessorId, Vec<Block>)> {
         let msg = self.send(sender, data);
         let receivers: Vec<ProcessorId> = self
             .members
@@ -238,12 +242,7 @@ impl GroupFabric {
         let outcome = authenticate_round(&engines, initiator, self.mac_bits);
         if let AuthOutcome::AlarmRaised { ref dissenting, .. } = outcome {
             let d = dissenting.clone();
-            self.raise(
-                initiator,
-                AlarmReason::AuthMismatch {
-                    dissenting: d,
-                },
-            );
+            self.raise(initiator, AlarmReason::AuthMismatch { dissenting: d });
         }
         outcome
     }
@@ -379,7 +378,9 @@ mod tests {
     }
 
     fn line(tag: u8) -> Vec<Block> {
-        (0..4u8).map(|i| Block::from([tag.wrapping_add(i); 16])).collect()
+        (0..4u8)
+            .map(|i| Block::from([tag.wrapping_add(i); 16]))
+            .collect()
     }
 
     #[test]

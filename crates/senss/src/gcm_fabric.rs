@@ -184,7 +184,10 @@ impl GcmFabric {
         }
         let nonce = self.nonce(msg.tag.pid, msg.seq);
         let aad = [msg.tag.pid.value()];
-        match self.gcm.decrypt(&nonce, &aad, &msg.ciphertext, msg.auth_tag) {
+        match self
+            .gcm
+            .decrypt(&nonce, &aad, &msg.ciphertext, msg.auth_tag)
+        {
             Ok(pt) => {
                 self.expected_seq[idx] = expected + 1;
                 // Keep the sender's next_seq in sync with the furthest
@@ -295,7 +298,10 @@ mod tests {
         // Deliver out of order: the receiver expects seq 0 first.
         assert!(matches!(
             f.deliver(&m2, ProcessorId::new(1)),
-            Err(GcmDeliveryError::SequenceMismatch { expected: 0, got: 1 })
+            Err(GcmDeliveryError::SequenceMismatch {
+                expected: 0,
+                got: 1
+            })
         ));
         let _ = m1;
     }

@@ -485,7 +485,9 @@ mod tests {
         let events: Vec<_> = sink.events().copied().collect();
         assert_eq!(events.len(), 2);
         match events[0] {
-            TraceEvent::ShuEncrypt { time, pid, stall, .. } => {
+            TraceEvent::ShuEncrypt {
+                time, pid, stall, ..
+            } => {
                 assert_eq!(time, 5);
                 assert_eq!(pid, 0);
                 assert_eq!(stall, 0);
@@ -613,7 +615,9 @@ mod tests {
     fn gcm_mode_stalls_less_at_peak_rate() {
         let mk = |cipher: CipherMode| {
             let mut e = SenssExtension::new(
-                SenssConfig::paper_default(2).with_cipher(cipher).with_masks(8),
+                SenssConfig::paper_default(2)
+                    .with_cipher(cipher)
+                    .with_masks(8),
             );
             let mut stall = 0;
             for i in 0..200u64 {
@@ -630,10 +634,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_group_pid_rejected() {
-        let _ = SenssExtension::with_groups(
-            SenssConfig::paper_default(2),
-            vec![vec![0, 5]],
-        );
+        let _ = SenssExtension::with_groups(SenssConfig::paper_default(2), vec![vec![0, 5]]);
     }
 
     #[test]

@@ -257,7 +257,10 @@ mod tests {
         let t = GroupInfoTable::new(8);
         assert_eq!(t.storage_bits() / MAX_GROUPS, 1161);
         let kb = t.storage_bits() as f64 / 8.0 / 1024.0;
-        assert!((kb - 145.1).abs() < 1.0, "≈145 KiB (paper rounds to 148.6 KB decimal): {kb}");
+        assert!(
+            (kb - 145.1).abs() < 1.0,
+            "≈145 KiB (paper rounds to 148.6 KB decimal): {kb}"
+        );
     }
 
     #[test]

@@ -88,7 +88,10 @@ fn gcm_catches_replay_after_any_gap() {
             f.deliver(&m, ProcessorId::new(1)).unwrap();
         }
         let replay_result = f.deliver(&captured, ProcessorId::new(1));
-        let caught = matches!(replay_result, Err(GcmDeliveryError::SequenceMismatch { .. }));
+        let caught = matches!(
+            replay_result,
+            Err(GcmDeliveryError::SequenceMismatch { .. })
+        );
         assert!(caught, "replay outcome: {replay_result:?}");
     }
 }

@@ -38,8 +38,9 @@ fn fabric_roundtrips_arbitrary_traffic() {
         let msgs = 1 + rng.next_below(30);
         for _ in 0..msgs {
             let sender = ProcessorId::new(rng.next_below(n as u64) as u8);
-            let payload: Vec<Block> =
-                (0..1 + rng.next_below(4)).map(|_| rng.next_block()).collect();
+            let payload: Vec<Block> = (0..1 + rng.next_below(4))
+                .map(|_| rng.next_block())
+                .collect();
             for (_, got) in f.broadcast(sender, &payload) {
                 assert_eq!(got, payload);
             }
@@ -55,7 +56,9 @@ fn any_single_drop_is_detected() {
     let mut rng = SplitMix64::new(0xB2);
     for _ in 0..48 {
         let key = key16(&mut rng);
-        let msgs: Vec<Block> = (0..1 + rng.next_below(19)).map(|_| rng.next_block()).collect();
+        let msgs: Vec<Block> = (0..1 + rng.next_below(19))
+            .map(|_| rng.next_block())
+            .collect();
         let drop_idx = rng.next_below(msgs.len() as u64) as usize;
         let n = 3u8;
         let victim = ProcessorId::new(2);

@@ -73,8 +73,9 @@ fn main() {
     );
     for txn in 0..100u8 {
         let sender = ProcessorId::new(txn % 3);
-        let account_line: Vec<Block> =
-            (0..4u8).map(|i| Block::from([txn.wrapping_add(i); 16])).collect();
+        let account_line: Vec<Block> = (0..4u8)
+            .map(|i| Block::from([txn.wrapping_add(i); 16]))
+            .collect();
         let received = fabric.broadcast(sender, &account_line);
         for (_, data) in received {
             assert_eq!(data, account_line);
@@ -85,7 +86,12 @@ fn main() {
 
     // --- 5. performance on the cycle-level simulator ---
     let cfg = SystemConfig::e6000(3, 1 << 20);
-    let base = System::new(cfg.clone(), Workload::Lu.generate(3, 8_000, 9), NullExtension).run();
+    let base = System::new(
+        cfg.clone(),
+        Workload::Lu.generate(3, 8_000, 9),
+        NullExtension,
+    )
+    .run();
     let sec = System::new(
         cfg,
         Workload::Lu.generate(3, 8_000, 9),

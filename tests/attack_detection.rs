@@ -20,10 +20,8 @@ fn all_scripted_attacks_are_detected_by_senss() {
 fn baseline_blindspots_match_the_paper() {
     // The paper's §8 critique of Shi et al.: non-chained MACs miss Type 1
     // and Type 3 (drop/spoof/replay) attacks.
-    let by_name: std::collections::HashMap<_, _> = scenarios::all()
-        .into_iter()
-        .map(|r| (r.name, r))
-        .collect();
+    let by_name: std::collections::HashMap<_, _> =
+        scenarios::all().into_iter().map(|r| (r.name, r)).collect();
     for name in [
         "type1-split-drop",
         "type1-receiver-blackout",
@@ -111,11 +109,17 @@ fn cross_group_messages_are_ignored_by_tag() {
     let p = ProcessorId::new(2);
     matrix.set(g5, p);
     let msg = BusMessage {
-        tag: MessageTag { gid: g9, pid: ProcessorId::new(0) },
+        tag: MessageTag {
+            gid: g9,
+            pid: ProcessorId::new(0),
+        },
         payload: vec![Block::ZERO],
     };
     // The snoop-path check the SHU performs in O(1):
-    assert!(!matrix.contains(msg.tag.gid, p), "message must be discarded");
+    assert!(
+        !matrix.contains(msg.tag.gid, p),
+        "message must be discarded"
+    );
     assert!(matrix.contains(g5, p));
 }
 

@@ -23,7 +23,10 @@ fn producer_consumer_chain_across_four_cores() {
         VecTrace::new(vec![Op::read(1500, line)]),
     ];
     let stats = System::new(cfg(4), traces, NullExtension).run();
-    assert_eq!(stats.cache_to_cache_transfers, 1, "only the first read hits dirty data");
+    assert_eq!(
+        stats.cache_to_cache_transfers, 1,
+        "only the first read hits dirty data"
+    );
     assert_eq!(stats.txn_read, 3);
     assert_eq!(stats.txn_read_exclusive, 1);
 }
@@ -56,10 +59,17 @@ fn read_only_sharing_needs_one_memory_fill_per_cache() {
 fn upgrade_then_silent_writes() {
     // After one BusUpgr, subsequent writes by the same core hit locally.
     let line = 0xD000u64;
-    let a = VecTrace::new(vec![Op::read(0, line), Op::write(100, line), Op::write(10, line)]);
+    let a = VecTrace::new(vec![
+        Op::read(0, line),
+        Op::write(100, line),
+        Op::write(10, line),
+    ]);
     let b = VecTrace::new(vec![Op::read(20, line)]);
     let stats = System::new(cfg(2), vec![a, b], NullExtension).run();
-    assert_eq!(stats.txn_upgrade, 1, "exactly one upgrade, then M-state hits");
+    assert_eq!(
+        stats.txn_upgrade, 1,
+        "exactly one upgrade, then M-state hits"
+    );
 }
 
 /// Draws a random small trace over a tiny shared footprint: tuples of

@@ -59,7 +59,12 @@ fn every_workload_completes_on_every_flavour() {
 #[test]
 fn accounting_identities_hold() {
     for w in Workload::all() {
-        let s = senss(w, 4, 1 << 20, SenssConfig::paper_default(4).with_auth_interval(10));
+        let s = senss(
+            w,
+            4,
+            1 << 20,
+            SenssConfig::paper_default(4).with_auth_interval(10),
+        );
         // Hits + misses = executed references.
         assert_eq!(s.l1_hits + s.l1_misses, s.ops_executed, "{w}");
         // Every L1 miss is an L2 hit, an L2 miss, or an upgrade path.
@@ -73,7 +78,11 @@ fn accounting_identities_hold() {
         // Auth transactions fire once per interval of c2c transfers.
         let expected_auth = s.cache_to_cache_transfers / 10;
         let diff = expected_auth.abs_diff(s.txn_auth);
-        assert!(diff <= 1, "{w}: auth {} vs expected {expected_auth}", s.txn_auth);
+        assert!(
+            diff <= 1,
+            "{w}: auth {} vs expected {expected_auth}",
+            s.txn_auth
+        );
     }
 }
 
@@ -119,8 +128,18 @@ fn integrated_costs_dominate_senss_costs() {
 fn interval_one_costs_more_than_interval_hundred() {
     let w = Workload::Ocean;
     let b = baseline(w, 4, 4 << 20);
-    let i1 = senss(w, 4, 4 << 20, SenssConfig::paper_default(4).with_auth_interval(1));
-    let i100 = senss(w, 4, 4 << 20, SenssConfig::paper_default(4).with_auth_interval(100));
+    let i1 = senss(
+        w,
+        4,
+        4 << 20,
+        SenssConfig::paper_default(4).with_auth_interval(1),
+    );
+    let i100 = senss(
+        w,
+        4,
+        4 << 20,
+        SenssConfig::paper_default(4).with_auth_interval(100),
+    );
     assert!(i1.txn_auth > i100.txn_auth * 50);
     assert!(i1.bus_increase_vs(&b) > i100.bus_increase_vs(&b));
 }

@@ -36,7 +36,6 @@
 pub mod aes;
 pub mod block;
 pub mod cbc;
-pub mod cmac;
 pub mod engine;
 pub mod gcm;
 pub mod mac;

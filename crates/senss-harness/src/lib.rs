@@ -37,6 +37,6 @@ pub use cache::ResultCache;
 pub use executor::{Harness, HarnessConfig, JobError, JobFailure, SweepResult};
 pub use record::{decode_spec, encode_spec, RunRecord};
 pub use spec::{
-    coherence_from_tag, coherence_tag, JobSpec, SecurityMode, SweepShard, SweepSpec, TraceCapture,
-    TraceSpec, CACHE_FORMAT,
+    coherence_from_tag, coherence_tag, JobSpec, SecurityMode, SweepShard, SweepSpec, TraceSpec,
+    CACHE_FORMAT,
 };

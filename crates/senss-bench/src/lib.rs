@@ -15,6 +15,7 @@
 pub mod backends;
 pub mod sweeps;
 
+use senss_harness::env_number;
 use senss_sim::Stats;
 use senss_workloads::Workload;
 
@@ -25,20 +26,14 @@ pub const DEFAULT_OPS: usize = 30_000;
 /// Default workload seed (override with `SENSS_SEED`).
 pub const DEFAULT_SEED: u64 = 42;
 
-/// Reads the per-core operation count from `SENSS_OPS`.
+/// Reads the per-core operation count from `SENSS_OPS`; panics if malformed.
 pub fn ops_per_core() -> usize {
-    std::env::var("SENSS_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_OPS)
+    env_number(|k| std::env::var(k).ok(), "SENSS_OPS").unwrap_or(DEFAULT_OPS)
 }
 
-/// Reads the workload seed from `SENSS_SEED`.
+/// Reads the workload seed from `SENSS_SEED`; panics if malformed.
 pub fn seed() -> u64 {
-    std::env::var("SENSS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
+    env_number(|k| std::env::var(k).ok(), "SENSS_SEED").unwrap_or(DEFAULT_SEED)
 }
 
 /// Snapshot of the environment knobs every figure binary honours:
@@ -65,16 +60,20 @@ pub struct RunEnv {
 }
 
 impl RunEnv {
-    /// Reads every knob from the environment.
+    /// Reads every knob from the environment; a malformed number panics
+    /// with the variable's name and value ([`env_number`]).
     pub fn from_env() -> RunEnv {
+        RunEnv::from_lookup(|k| std::env::var(k).ok())
+    }
+
+    /// [`from_env`](RunEnv::from_env) with the variable lookup injected.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> RunEnv {
         RunEnv {
-            ops: ops_per_core(),
-            seed: seed(),
-            workers: std::env::var("HARNESS_WORKERS")
-                .ok()
-                .and_then(|v| v.parse().ok()),
-            cache: std::env::var_os("HARNESS_NO_CACHE").is_none(),
-            serve: std::env::var("SENSS_SERVE").ok().filter(|a| !a.is_empty()),
+            ops: env_number(&lookup, "SENSS_OPS").unwrap_or(DEFAULT_OPS),
+            seed: env_number(&lookup, "SENSS_SEED").unwrap_or(DEFAULT_SEED),
+            workers: env_number(&lookup, "HARNESS_WORKERS"),
+            cache: lookup("HARNESS_NO_CACHE").is_none(),
+            serve: lookup("SENSS_SERVE").filter(|a| !a.is_empty()),
         }
     }
 
@@ -208,6 +207,40 @@ mod tests {
     fn env_defaults() {
         assert!(ops_per_core() > 0);
         let _ = seed();
+    }
+
+    #[test]
+    fn run_env_reads_its_lookup() {
+        let env = RunEnv::from_lookup(|key| match key {
+            "SENSS_OPS" => Some("2000".to_string()),
+            "SENSS_SEED" => Some("7".to_string()),
+            "HARNESS_NO_CACHE" => Some(String::new()),
+            "SENSS_SERVE" => Some(String::new()),
+            _ => None,
+        });
+        assert_eq!((env.ops, env.seed, env.workers), (2000, 7, None));
+        assert!(!env.cache);
+        assert_eq!(env.serve, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "SENSS_OPS must be a non-negative integer, got \"2k\"")]
+    fn malformed_ops_fail_loudly() {
+        // Regression: `SENSS_OPS=2k` used to run at the 30 000 default.
+        RunEnv::from_lookup(|key| (key == "SENSS_OPS").then(|| "2k".to_string()));
+    }
+
+    #[test]
+    #[should_panic(expected = "SENSS_SEED must be a non-negative integer, got \"-1\"")]
+    fn malformed_seed_fails_loudly() {
+        RunEnv::from_lookup(|key| (key == "SENSS_SEED").then(|| "-1".to_string()));
+    }
+
+    #[test]
+    #[should_panic(expected = "HARNESS_WORKERS must be a non-negative integer, got \"two\"")]
+    fn malformed_workers_fail_loudly() {
+        // Regression: `HARNESS_WORKERS=two` used to log `workers = auto`.
+        RunEnv::from_lookup(|key| (key == "HARNESS_WORKERS").then(|| "two".to_string()));
     }
 
     #[test]

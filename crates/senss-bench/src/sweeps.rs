@@ -13,7 +13,7 @@ pub use senss_harness::{
 
 use crate::{ops_per_core, overhead, seed, workload_columns, Overhead};
 use senss_workloads::Workload;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Runs a sweep through the environment-configured harness
 /// ([`HarnessConfig::from_env`]) — or, when the `SENSS_SERVE`
@@ -50,11 +50,13 @@ pub fn execute(sweep: &SweepSpec) -> SweepResult {
     result
 }
 
-/// Ships the sweep to a `senss-serve` server and reassembles the reply
-/// into a [`SweepResult`]. The wire's result lines carry no execution
-/// metadata, so the records come back with zero wall time and no worker
-/// attribution — but the `stats` are byte-identical to a local run, and
-/// that is all the figure tables read.
+/// Ships the sweep to a `senss-serve` server, streams its result lines
+/// as the jobs finish, and reassembles them into a [`SweepResult`]. The
+/// wire's result lines carry no execution metadata, so the records come
+/// back with zero wall time and no worker attribution — but the `stats`
+/// are byte-identical to a local run, and that is all the figure tables
+/// read. One `status` after the stream's end supplies the
+/// executed/cached/failed summary.
 fn execute_remote(sweep: &SweepSpec, addr: &str) -> SweepResult {
     let started = Instant::now();
     let die = |stage: &str, err: &dyn std::fmt::Display| -> ! {
@@ -62,28 +64,15 @@ fn execute_remote(sweep: &SweepSpec, addr: &str) -> SweepResult {
     };
     let client = senss_serve::Client::new(addr);
     let (id, _) = client.submit(sweep).unwrap_or_else(|e| die("submit", &e));
-    let info = loop {
-        let info = client.status(id).unwrap_or_else(|e| die("status", &e));
-        match info.state {
-            senss_serve::SweepState::Done => break info,
-            senss_serve::SweepState::Failed => panic!(
-                "SENSS_SERVE={addr}: sweep {id} failed on the server: {}",
-                info.message
-            ),
-            senss_serve::SweepState::Queued | senss_serve::SweepState::Running => {
-                std::thread::sleep(Duration::from_millis(100))
-            }
-        }
-    };
+    let results = client.stream(id).unwrap_or_else(|e| die("stream", &e));
+    let info = client.status(id).unwrap_or_else(|e| die("status", &e));
     assert!(
         info.failures == 0,
         "SENSS_SERVE={addr}: {} job(s) of sweep {id} failed on the server \
          (see the server's stderr for per-job errors)",
         info.failures
     );
-    let records = client
-        .results(id)
-        .unwrap_or_else(|e| die("results", &e))
+    let records = results
         .into_iter()
         .map(|r| RunRecord {
             index: r.index as usize,

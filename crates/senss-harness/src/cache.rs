@@ -12,17 +12,19 @@
 //! * the file is append-only during a sweep, so a crash mid-run loses at
 //!   most the in-flight entry.
 //!
+//! A [`Harness`](crate::Harness) opens its cache once and keeps it, so
+//! a long-running host parses the file once, not once per sweep.
+//!
 //! [`JobSpec::cache_key`]: crate::spec::JobSpec::cache_key
 //! [`CACHE_FORMAT`]: crate::spec::CACHE_FORMAT
 
 use crate::json::{self, Value};
 use crate::record::{decode_stats, encode_stats};
 use senss_sim::Stats;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::path::Path;
 
 /// The on-disk cache file name inside the cache directory.
 pub const CACHE_FILE: &str = "cache.jsonl";
@@ -30,7 +32,8 @@ pub const CACHE_FILE: &str = "cache.jsonl";
 /// An open result cache.
 #[derive(Debug)]
 pub struct ResultCache {
-    path: PathBuf,
+    /// Read once by `open`, then appended to by every `put`.
+    file: File,
     entries: HashMap<String, Stats>,
     skipped: usize,
 }
@@ -43,44 +46,47 @@ impl ResultCache {
     /// by a crash mid-append) are skipped and counted — a partially
     /// corrupt cache degrades to a partially warm cache, it never fails
     /// the run. The skip count is reported by
-    /// [`skipped`](ResultCache::skipped).
+    /// [`skipped`](ResultCache::skipped) and in one warning on stderr.
     pub fn open(dir: &Path) -> std::io::Result<ResultCache> {
         fs::create_dir_all(dir)?;
         let path = dir.join(CACHE_FILE);
+        let file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(&path)?;
         let mut entries = HashMap::new();
         let mut skipped = 0;
-        match File::open(&path) {
-            Ok(f) => {
-                let mut reader = BufReader::new(f);
-                let mut raw = Vec::new();
-                loop {
-                    raw.clear();
-                    if reader.read_until(b'\n', &mut raw)? == 0 {
-                        break;
-                    }
-                    let Ok(line) = std::str::from_utf8(&raw) else {
-                        skipped += 1;
-                        continue;
-                    };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match parse_entry(line.trim_end_matches(['\r', '\n'])) {
-                        Some((key, stats)) => {
-                            entries.insert(key, stats);
-                        }
-                        None => skipped += 1,
-                    }
-                }
+        let mut reader = BufReader::new(&file);
+        let mut raw = Vec::new();
+        loop {
+            raw.clear();
+            if reader.read_until(b'\n', &mut raw)? == 0 {
+                break;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+            let Ok(line) = std::str::from_utf8(&raw) else {
+                skipped += 1;
+                continue;
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            match parse_entry(line.trim_end_matches(['\r', '\n'])) {
+                Some((key, stats)) => {
+                    entries.insert(key, stats);
+                }
+                None => skipped += 1,
+            }
         }
         if skipped > 0 {
-            warn_corrupt_once(&path, skipped);
+            eprintln!(
+                "harness: skipped {skipped} corrupt cache line(s) in {}; \
+                 affected jobs will re-execute",
+                path.display()
+            );
         }
         Ok(ResultCache {
-            path,
+            file,
             entries,
             skipped,
         })
@@ -119,33 +125,9 @@ impl ResultCache {
         ])
         .encode();
         line.push('\n');
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        f.write_all(line.as_bytes())?;
+        (&self.file).write_all(line.as_bytes())?;
         self.entries.insert(key.to_string(), stats.clone());
         Ok(())
-    }
-}
-
-/// Warns about corrupt lines at most once per cache file per process.
-/// Long-running hosts (`senss-serve`) reopen the same cache for every
-/// sweep; a damaged file would otherwise spam one warning per job
-/// submission. The count still reaches callers through
-/// [`ResultCache::skipped`] on every open.
-fn warn_corrupt_once(path: &Path, skipped: usize) {
-    static WARNED: OnceLock<Mutex<HashSet<PathBuf>>> = OnceLock::new();
-    let warned = WARNED.get_or_init(|| Mutex::new(HashSet::new()));
-    let mut warned = warned
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if warned.insert(path.to_path_buf()) {
-        eprintln!(
-            "harness: skipped {skipped} corrupt cache line(s) in {}; \
-             affected jobs will re-execute (warning shown once per file)",
-            path.display()
-        );
     }
 }
 
@@ -159,6 +141,7 @@ fn parse_entry(line: &str) -> Option<(String, Stats)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =

@@ -20,7 +20,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Executor configuration.
@@ -69,21 +69,14 @@ impl HarnessConfig {
     /// injected, so tests can exercise parsing without racing on the
     /// process environment.
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> HarnessConfig {
-        fn parsed<T: std::str::FromStr>(key: &str, value: &str) -> T {
-            value
-                .parse()
-                .unwrap_or_else(|_| panic!("{key} must be a non-negative integer, got {value:?}"))
-        }
-        let env_usize = |key: &str| lookup(key).map(|v| parsed::<usize>(key, &v));
-        let workers = env_usize("HARNESS_WORKERS").unwrap_or_else(|| {
+        let workers = env_number(&lookup, "HARNESS_WORKERS").unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
         HarnessConfig {
             workers,
-            cycle_budget: lookup("HARNESS_CYCLE_BUDGET")
-                .map(|v| parsed::<u64>("HARNESS_CYCLE_BUDGET", &v)),
+            cycle_budget: env_number(&lookup, "HARNESS_CYCLE_BUDGET"),
             cache_dir: if lookup("HARNESS_NO_CACHE").is_some() {
                 None
             } else {
@@ -137,6 +130,23 @@ impl HarnessConfig {
         self.warm_start = on;
         self
     }
+}
+
+/// Reads the numeric variable `key` through `lookup`: `None` when it is
+/// unset. The one strict reader of numeric environment knobs.
+///
+/// # Panics
+///
+/// Panics with the variable's name and value if it is set but does not
+/// parse, so a typo never silently falls back to a default.
+pub fn env_number<T: std::str::FromStr>(
+    lookup: impl Fn(&str) -> Option<String>,
+    key: &str,
+) -> Option<T> {
+    lookup(key).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("{key} must be a non-negative integer, got {v:?}"))
+    })
 }
 
 /// Why a job failed for good.
@@ -196,10 +206,11 @@ pub struct SweepResult {
     /// `executed`): their shared prefix was restored from a checkpoint
     /// instead of re-simulated.
     pub forked: usize,
-    /// Corrupt or truncated cache lines skipped while opening the
-    /// result cache for this sweep (0 when the cache is off). Non-zero
-    /// means the on-disk cache was damaged and some hits degraded to
-    /// re-executions.
+    /// Corrupt or truncated cache lines skipped when this sweep opened
+    /// the result cache. A [`Harness`] opens its cache on its first
+    /// sweep only, so later sweeps (and runs with the cache off) read
+    /// 0. Non-zero means the on-disk cache was damaged and some hits
+    /// degraded to re-executions.
     pub cache_skipped: usize,
     /// Worker threads used.
     pub workers: usize,
@@ -324,12 +335,23 @@ enum WorkItem {
 #[derive(Debug)]
 pub struct Harness {
     cfg: HarnessConfig,
+    /// The result cache, opened by the first sweep and kept for every
+    /// later one.
+    cache: Mutex<Option<ResultCache>>,
 }
 
 impl Harness {
     /// An executor with an explicit configuration.
     pub fn new(cfg: HarnessConfig) -> Harness {
-        Harness { cfg }
+        Harness {
+            cfg,
+            cache: Mutex::new(None),
+        }
+    }
+
+    /// The resident cache; a panicking holder cannot leave it unsound.
+    fn cache(&self) -> MutexGuard<'_, Option<ResultCache>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// An executor configured from the environment
@@ -398,14 +420,13 @@ impl Harness {
         F: Fn(&JobSpec) -> Stats + Sync,
     {
         let started = Instant::now();
-        // Corrupt-line warnings are emitted (once per file) by
-        // `ResultCache::open` itself; here we only carry the count into
-        // the result so hosts like senss-serve can surface it.
-        let mut cache = match &self.cfg.cache_dir {
-            Some(dir) => Some(ResultCache::open(dir)?),
-            None => None,
-        };
-        let cache_skipped = cache.as_ref().map_or(0, ResultCache::skipped);
+        let mut cache = self.cache();
+        let mut cache_skipped = 0;
+        if let (None, Some(dir)) = (&*cache, &self.cfg.cache_dir) {
+            let opened = ResultCache::open(dir)?;
+            cache_skipped = opened.skipped();
+            *cache = Some(opened);
+        }
 
         // Partition into cache hits and jobs that must execute.
         let keys: Vec<String> = sweep.jobs.iter().map(JobSpec::cache_key).collect();
@@ -434,6 +455,7 @@ impl Harness {
                 }
             }
         }
+        drop(cache);
         let cached = sweep.jobs.len() - pending.len();
         let to_execute = pending.len();
 
@@ -496,7 +518,7 @@ impl Harness {
                             forked: was_forked,
                         } => {
                             forked += was_forked as usize;
-                            if let Some(c) = cache.as_mut() {
+                            if let Some(c) = self.cache().as_mut() {
                                 // Append errors are demoted to warnings:
                                 // losing a cache entry never loses a run.
                                 if let Err(e) = c.put(&keys[index], &stats) {

@@ -34,7 +34,7 @@ pub mod record;
 pub mod spec;
 
 pub use cache::ResultCache;
-pub use executor::{Harness, HarnessConfig, JobError, JobFailure, SweepResult};
+pub use executor::{env_number, Harness, HarnessConfig, JobError, JobFailure, SweepResult};
 pub use record::{decode_spec, encode_spec, RunRecord};
 pub use spec::{
     coherence_from_tag, coherence_tag, JobSpec, SecurityMode, SweepShard, SweepSpec, TraceSpec,

@@ -199,6 +199,25 @@ fn warm_cache_executes_zero_jobs() {
 }
 
 #[test]
+fn one_harness_keeps_its_cache_across_sweeps() {
+    // The cache is opened by the first sweep and kept: the second run
+    // of the same harness is all hits, and each executed job appended
+    // exactly one line.
+    let dir = tmp_dir("resident");
+    let sweep = small_sweep("resident");
+    let harness = Harness::new(HarnessConfig::hermetic().with_cache_dir(&dir));
+    let cold = harness.run_with(&sweep, synthetic).unwrap();
+    assert_eq!(cold.executed, sweep.len());
+    let warm = harness.run_with(&sweep, synthetic).unwrap();
+    assert_eq!(warm.executed, 0, "second run must execute nothing");
+    assert_eq!(warm.cached, sweep.len());
+    assert!(warm.records.iter().all(|r| r.cached));
+    let text = std::fs::read_to_string(dir.join(senss_harness::cache::CACHE_FILE)).unwrap();
+    assert_eq!(text.lines().count(), cold.executed);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn run_records_are_written_as_jsonl() {
     let dir = tmp_dir("records");
     let mut sweep = SweepSpec::new("records_sweep");

@@ -3,17 +3,20 @@
 //! One TCP connection per call keeps the client trivially thread-safe
 //! and immune to server-side idle timeouts; the loopback integration
 //! tests drive many of these concurrently. [`Client::run`] is the
-//! high-level path: submit with bounded retry on `overloaded`, poll
-//! `status`, then stream `results`.
+//! high-level path: submit with bounded retry on `overloaded`, then
+//! `stream` the result lines as the jobs finish. Waiting for results is
+//! always a `stream`; no call polls `status` in a loop.
 
-use crate::protocol::{
-    parse_result_line, ErrorClass, JobResult, Request, Response, StatusInfo, SweepState,
-};
+use crate::protocol::{parse_result_line, ErrorClass, JobResult, Request, Response, StatusInfo};
 use senss_harness::json::Value;
 use senss_harness::SweepSpec;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// Read timeout for waiting on a `stream`: its lines arrive as jobs
+/// finish, and one sweep can run far longer than any round trip.
+pub const STREAM_TIMEOUT: Duration = Duration::from_secs(24 * 60 * 60);
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -278,12 +281,15 @@ impl Client {
         Ok(lines)
     }
 
+    /// Waits for a sweep in any live state and parses its results:
+    /// [`stream_raw`](Client::stream_raw) under [`STREAM_TIMEOUT`].
+    pub fn stream(&self, id: u64) -> Result<Vec<JobResult>, ClientError> {
+        parse_lines(&self.clone().with_timeout(STREAM_TIMEOUT).stream_raw(id)?)
+    }
+
     /// Streams and parses a finished sweep's results.
     pub fn results(&self, id: u64) -> Result<Vec<JobResult>, ClientError> {
-        self.results_raw(id)?
-            .iter()
-            .map(|l| parse_result_line(l).map_err(ClientError::Protocol))
-            .collect()
+        parse_lines(&self.results_raw(id)?)
     }
 
     /// Derives trace metrics for one job of a finished sweep. Returns
@@ -319,25 +325,19 @@ impl Client {
         }
     }
 
-    /// Submit → poll status → stream results, the full cycle. `poll` is
-    /// the status-poll interval.
-    pub fn run(&self, sweep: &SweepSpec, poll: Duration) -> Result<Vec<JobResult>, ClientError> {
+    /// Submit → [`stream`](Client::stream), the full cycle. A sweep that
+    /// fails on the server is an `internal` [`ClientError::Server`].
+    pub fn run(&self, sweep: &SweepSpec) -> Result<Vec<JobResult>, ClientError> {
         let (id, _) = self.submit(sweep)?;
-        loop {
-            let info = self.status(id)?;
-            match info.state {
-                SweepState::Done => return self.results(id),
-                SweepState::Failed => {
-                    return Err(ClientError::Server {
-                        class: ErrorClass::Internal,
-                        retriable: false,
-                        message: info.message,
-                    })
-                }
-                SweepState::Queued | SweepState::Running => std::thread::sleep(poll),
-            }
-        }
+        self.stream(id)
     }
+}
+
+fn parse_lines(lines: &[String]) -> Result<Vec<JobResult>, ClientError> {
+    lines
+        .iter()
+        .map(|l| parse_result_line(l).map_err(ClientError::Protocol))
+        .collect()
 }
 
 fn unexpected(wanted: &str, got: &Response) -> ClientError {

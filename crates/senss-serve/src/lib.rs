@@ -12,7 +12,8 @@
 //!   the deterministic per-job result-line codec and the `indices`
 //!   sharding extension.
 //! * [`server`] — a `poll(2)`-based event loop (one thread, every
-//!   connection; see [`sys`]) over a bounded job queue that **rejects
+//!   connection; see [`sys`]) woken by job completions rather than a
+//!   timer, over a bounded job queue that **rejects
 //!   with a retriable `overloaded` error instead of blocking**;
 //!   idle/stalled-connection reclaim; malformed frames answered, never
 //!   fatal; drain-then-exit shutdown.
@@ -47,5 +48,5 @@ pub use client::{Client, ClientError};
 pub use coordinator::{ClusterConfig, Coordinator};
 pub use metrics::Metrics;
 pub use protocol::{ErrorClass, JobResult, Request, Response, StatusInfo, SweepState};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig};
 pub use worker::WorkerProc;

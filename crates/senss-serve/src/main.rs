@@ -8,7 +8,7 @@
 //!                      [--hermetic] [--quiet]
 //! senss-serve submit   [--addr ...] [--name s] [--workloads fft,ocean] [--cores 2]
 //!                      [--l2-mb 1] [--modes baseline,senss] [--ops 2000] [--seed 42]
-//!                      [--file sweep.json] [--wait] [--poll-ms 200]
+//!                      [--file sweep.json] [--wait]
 //! senss-serve status   --id N [--addr ...]
 //! senss-serve results  --id N [--addr ...]
 //! senss-serve stream   --id N [--addr ...]
@@ -17,6 +17,9 @@
 //! senss-serve ping     [--addr ...]
 //! senss-serve shutdown [--addr ...]
 //! ```
+//!
+//! `submit --wait` streams the result lines as the jobs finish, the
+//! same bytes `results` prints once the sweep is done.
 //!
 //! `serve --workers N` runs the process as a cluster coordinator: each
 //! sweep is sharded across N supervised `senss-serve worker` child
@@ -28,6 +31,7 @@
 
 use senss_harness::json::{self, Value};
 use senss_harness::{decode_spec, HarnessConfig, JobSpec, SecurityMode, SweepSpec};
+use senss_serve::client::STREAM_TIMEOUT;
 use senss_serve::{Client, ClusterConfig, Server, ServerConfig};
 use senss_workloads::Workload;
 use std::io::Write;
@@ -130,7 +134,7 @@ fn main() {
         "submit" => submit(&flags),
         "status" => status(&flags),
         "results" => results(&flags),
-        "stream" => stream(&flags),
+        "stream" => stream(&client(&flags), flags.require_u64("id")),
         "trace" => trace(&flags),
         "metrics" => metrics(&flags),
         "ping" => ping(&flags),
@@ -272,25 +276,7 @@ fn submit(flags: &Flags) {
         println!("{id}");
         return;
     }
-    let poll = Duration::from_millis(flags.parse_or("poll-ms", 200u64));
-    loop {
-        let info = client
-            .status(id)
-            .unwrap_or_else(|e| fail(format_args!("status failed: {e}")));
-        match info.state {
-            senss_serve::SweepState::Done => break,
-            senss_serve::SweepState::Failed => {
-                fail(format_args!("sweep {id} failed: {}", info.message))
-            }
-            _ => std::thread::sleep(poll),
-        }
-    }
-    for line in client
-        .results_raw(id)
-        .unwrap_or_else(|e| fail(format_args!("results failed: {e}")))
-    {
-        println!("{line}");
-    }
+    stream(&client, id);
 }
 
 fn status(flags: &Flags) {
@@ -322,13 +308,12 @@ fn results(flags: &Flags) {
 }
 
 /// Streams a sweep's result lines progressively, printing each as it
-/// arrives — usable on a sweep that is still queued or running.
-fn stream(flags: &Flags) {
-    let id = flags.require_u64("id");
-    // One sweep can run much longer than a round-trip; let the server's
-    // completion pace the stream rather than the client timeout.
-    let streamer = client(flags).with_timeout(Duration::from_secs(24 * 60 * 60));
-    let delivered = streamer
+/// arrives — usable on a sweep that is still queued or running. The
+/// server's completions pace the stream, not the round-trip timeout.
+fn stream(client: &Client, id: u64) {
+    let delivered = client
+        .clone()
+        .with_timeout(STREAM_TIMEOUT)
         .stream_with(id, |line| println!("{line}"))
         .unwrap_or_else(|e| fail(format_args!("stream failed: {e}")));
     eprintln!("senss-serve: streamed {delivered} result line(s) for sweep {id}");

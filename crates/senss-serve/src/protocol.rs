@@ -84,7 +84,7 @@ pub enum ErrorClass {
     Overloaded,
     /// The referenced sweep id is unknown.
     NotFound,
-    /// The sweep exists but has not finished yet; poll again.
+    /// The sweep exists but has not finished yet; `stream` waits for it.
     NotReady,
     /// The server is draining and no longer accepts new work.
     ShuttingDown,

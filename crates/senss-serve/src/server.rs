@@ -9,6 +9,10 @@
 //! worker processes), and a small fixed pool of trace threads so
 //! `trace` re-simulations never stall the event loop.
 //!
+//! The loop never ticks: a byte on its wake socket reports each
+//! finished job, sweep and trace, and shutdown. Otherwise `poll` sleeps
+//! until the earliest idle, stalled-write or drain deadline, if any.
+//!
 //! Both bounds shed load instead of blocking: past `max_conns` a new
 //! connection gets an `overloaded` frame and is closed, and a full
 //! sweep queue rejects `submit` with the same retriable class — the
@@ -28,7 +32,7 @@
 //! sends can take the process down.
 //!
 //! Shutdown is drain-then-exit: after a `shutdown` frame (or
-//! [`ServerHandle::shutdown`]) the server stops accepting work, the
+//! [`Server::shutdown`]) the server stops accepting work, the
 //! executor finishes every queued sweep, open streams flush, and all
 //! threads join.
 
@@ -42,6 +46,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -52,11 +57,6 @@ use std::time::{Duration, Instant};
 /// failures deterministic. `None` in [`ServerConfig`] means the real
 /// [`JobSpec::run`].
 pub type JobRunner = Arc<dyn Fn(&JobSpec) -> Stats + Send + Sync>;
-
-/// Maximum poll wait per event-loop tick. Executor completions and
-/// trace results are picked up on the next tick, so this bounds the
-/// extra latency of streamed lines without any wake-up plumbing.
-const POLL_TICK: Duration = Duration::from_millis(25);
 
 /// Per-connection write-buffer high-water mark: response pumping stops
 /// above it and resumes as the socket drains, so one slow client
@@ -227,11 +227,17 @@ struct Shared {
     write_timeout: Duration,
     max_frame_bytes: usize,
     quiet: bool,
+    /// The wake socket: the event loop polls `wake_rx`.
+    wake_rx: UnixStream,
+    wake_tx: UnixStream,
 }
 
 impl Shared {
-    fn from_config(cfg: &ServerConfig) -> Arc<Shared> {
-        Arc::new(Shared {
+    fn from_config(cfg: &ServerConfig) -> std::io::Result<Arc<Shared>> {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        Ok(Arc::new(Shared {
             metrics: Arc::new(match &cfg.cluster {
                 Some(cluster) => Metrics::with_workers(cluster.workers),
                 None => Metrics::new(),
@@ -246,7 +252,15 @@ impl Shared {
             write_timeout: cfg.write_timeout,
             max_frame_bytes: cfg.max_frame_bytes,
             quiet: cfg.quiet,
-        })
+            wake_rx,
+            wake_tx,
+        }))
+    }
+
+    /// Wakes the event loop. A full socket buffer already holds a
+    /// pending wake, so a failed write is ignored.
+    fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
     }
 
     fn log(&self, msg: std::fmt::Arguments<'_>) {
@@ -268,14 +282,15 @@ fn trigger_shutdown(shared: &Shared) {
     if shared.shutdown.swap(true, Ordering::SeqCst) {
         return;
     }
-    // Wake the executor so an empty queue drains immediately; the event
-    // loop notices the flag on its next tick.
+    // Wake the executor so an empty queue drains immediately, and the
+    // event loop so it stops accepting.
     shared.queue_cv.notify_all();
+    shared.wake();
 }
 
 /// A running server: its bound address, live metrics, and join/shutdown
 /// control. Dropping the handle without calling
-/// [`shutdown`](ServerHandle::shutdown) or [`join`](ServerHandle::join)
+/// [`shutdown`](Server::shutdown) or [`join`](Server::join)
 /// detaches the threads.
 pub struct Server {
     addr: SocketAddr,
@@ -294,10 +309,6 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Alias kept for readability at call sites: [`Server::start`] returns
-/// the handle you keep.
-pub type ServerHandle = Server;
-
 impl Server {
     /// Binds `cfg.addr` and spawns the event-loop, executor and trace
     /// threads (plus worker processes in cluster mode). Returns as soon
@@ -305,7 +316,7 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let shared = Shared::from_config(&cfg);
+        let shared = Shared::from_config(&cfg)?;
         let coordinator = match &cfg.cluster {
             Some(cluster) => Some(Arc::new(Coordinator::start(
                 cluster.clone(),
@@ -373,12 +384,6 @@ impl Server {
     /// so fault-injection tests can kill workers mid-sweep.
     pub fn coordinator(&self) -> Option<&Coordinator> {
         self.coordinator.as_deref()
-    }
-
-    /// Whether shutdown has been triggered (by a client frame or
-    /// locally).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Triggers drain-then-exit shutdown and joins every thread.
@@ -590,16 +595,21 @@ fn event_loop(
     // while any connection still makes write progress, so large final
     // streams flush but a wedged client cannot hold the process open.
     let mut drain_deadline: Option<Instant> = None;
+    // The earliest idle, stalled-write or drain deadline: `poll` sleeps
+    // until then unless a socket or a wake byte arrives first.
+    let mut wait_until: Option<Instant> = None;
 
     loop {
-        let shutting = shared.shutdown.load(Ordering::SeqCst);
-        if shutting && listener.is_some() {
+        if shared.shutdown.load(Ordering::SeqCst) && listener.is_some() {
             listener = None;
             shared.log(format_args!("shutdown requested; draining queue"));
         }
 
+        // The wake socket is `fds[0]`; `tokens` label the rest, with 0
+        // for the listener.
         fds.clear();
         tokens.clear();
+        fds.push(PollFd::new(shared.wake_rx.as_raw_fd(), sys::POLLIN));
         if let Some(l) = &listener {
             fds.push(PollFd::new(l.as_raw_fd(), sys::POLLIN));
             tokens.push(0);
@@ -620,18 +630,22 @@ fn event_loop(
             tokens.push(token);
         }
 
-        if fds.is_empty() {
-            if shutting && shared.executor_done.load(Ordering::SeqCst) {
-                break;
-            }
-            std::thread::sleep(POLL_TICK);
-        } else if let Err(e) = sys::poll_fds(&mut fds, POLL_TICK.as_millis() as i32) {
-            shared.log(format_args!("poll failed: {e}"));
-            std::thread::sleep(POLL_TICK);
+        // Wake a millisecond past the deadline: the checks below are strict.
+        let timeout_ms = wait_until.map_or(-1, |t| {
+            let ms = t.saturating_duration_since(Instant::now()).as_millis() + 1;
+            ms.min(i32::MAX as u128) as i32
+        });
+        if let Err(e) = sys::poll_fds(&mut fds, timeout_ms) {
+            shared.log(format_args!("poll failed: {e}; draining"));
+            trigger_shutdown(shared);
         }
 
+        if fds[0].ready(sys::POLLIN) {
+            let mut buf = [0u8; 256];
+            while matches!((&shared.wake_rx).read(&mut buf), Ok(n) if n > 0) {}
+        }
         let mut dead: Vec<u64> = Vec::new();
-        for (fd, &token) in fds.iter().zip(&tokens) {
+        for (fd, &token) in fds[1..].iter().zip(&tokens) {
             if token == 0 {
                 if fd.ready(sys::POLLIN) {
                     accept_ready(listener.as_ref(), &mut conns, &mut next_token, shared);
@@ -653,7 +667,7 @@ fn event_loop(
             conns.remove(&token);
         }
 
-        // Trace results finished since the last tick.
+        // Trace results finished since the last wake-up.
         for outcome in std::mem::take(&mut *lock_recover(trace_done)) {
             if let Some(conn) = conns.get_mut(&outcome.token) {
                 conn.push_response(shared, &outcome.response);
@@ -663,10 +677,14 @@ fn event_loop(
         }
 
         // Parse + serve, pump streams, flush, and decide each
-        // connection's fate.
+        // connection's fate. Shared state is read only after the wake
+        // socket was drained, so a change made after the drain leaves a
+        // byte behind that ends the next `poll` at once.
         let now = Instant::now();
-        let drained = shutting && shared.executor_done.load(Ordering::SeqCst);
+        let drained =
+            shared.shutdown.load(Ordering::SeqCst) && shared.executor_done.load(Ordering::SeqCst);
         let mut progress = false;
+        wait_until = None;
         conns.retain(|&token, conn| {
             if !drained {
                 process_frames(conn, token, shared, trace_tx);
@@ -688,16 +706,20 @@ fn event_loop(
             if drained && settled {
                 return false;
             }
-            if settled && now.duration_since(conn.last_activity) > shared.read_timeout {
-                // Idle reclaim.
+            // Idle reclaim, or a stalled writer; a connection waiting on
+            // a stream or a trace has no deadline of its own.
+            let limit = if settled {
+                shared.read_timeout
+            } else if conn.pending_out() > 0 {
+                shared.write_timeout
+            } else {
+                return true;
+            };
+            if now.duration_since(conn.last_activity) > limit {
                 return false;
             }
-            if conn.pending_out() > 0
-                && now.duration_since(conn.last_activity) > shared.write_timeout
-            {
-                // Stalled writer.
-                return false;
-            }
+            let deadline = conn.last_activity + limit;
+            wait_until = Some(wait_until.map_or(deadline, |w| w.min(deadline)));
             true
         });
         shared
@@ -709,16 +731,19 @@ fn event_loop(
             if conns.is_empty() {
                 break;
             }
-            let deadline = *drain_deadline.get_or_insert_with(|| now + shared.write_timeout);
-            if progress {
-                drain_deadline = Some(now + shared.write_timeout);
-            } else if now >= deadline {
+            let deadline = match drain_deadline {
+                Some(d) if !progress => d,
+                _ => now + shared.write_timeout,
+            };
+            if now >= deadline {
                 shared.log(format_args!(
                     "drain grace expired with {} connection(s) unflushed",
                     conns.len()
                 ));
                 break;
             }
+            drain_deadline = Some(deadline);
+            wait_until = Some(wait_until.map_or(deadline, |w| w.min(deadline)));
         }
     }
     // Dropping `trace_tx`'s last clone (held by our caller's channel)
@@ -854,28 +879,8 @@ fn process_frames(conn: &mut Conn, token: u64, shared: &Shared, trace_tx: &Sende
                 let response = status(id, shared);
                 conn.push_response(shared, &response);
             }
-            Request::Results { id } => match results_header(id, shared) {
-                Ok(header) => {
-                    conn.push_frame(&header.encode());
-                    conn.stream_state = Some(ResultStream {
-                        id,
-                        next: 0,
-                        sent: 0,
-                    });
-                }
-                Err(response) => conn.push_response(shared, &response),
-            },
-            Request::Stream { id } => match stream_header(id, shared) {
-                Ok(header) => {
-                    conn.push_frame(&header.encode());
-                    conn.stream_state = Some(ResultStream {
-                        id,
-                        next: 0,
-                        sent: 0,
-                    });
-                }
-                Err(response) => conn.push_response(shared, &response),
-            },
+            Request::Results { id } => open_stream(conn, shared, id, results_header(id, shared)),
+            Request::Stream { id } => open_stream(conn, shared, id, stream_header(id, shared)),
             Request::Trace { id, index } => {
                 conn.trace_pending = true;
                 if trace_tx
@@ -908,6 +913,22 @@ fn process_frames(conn: &mut Conn, token: u64, shared: &Shared, trace_tx: &Sende
             }
         }
         shared.metrics.latency.observe(started.elapsed());
+    }
+}
+
+/// Sends a `results` or `stream` reply's header and starts pumping the
+/// sweep's lines after it, or sends the refusal.
+fn open_stream(conn: &mut Conn, shared: &Shared, id: u64, header: Result<Response, Response>) {
+    match header {
+        Ok(header) => {
+            conn.push_frame(&header.encode());
+            conn.stream_state = Some(ResultStream {
+                id,
+                next: 0,
+                sent: 0,
+            });
+        }
+        Err(response) => conn.push_response(shared, &response),
     }
 }
 
@@ -1045,8 +1066,9 @@ fn submit(sweep: SweepSpec, orig: Option<Vec<u64>>, shared: &Shared) -> Response
 
 fn status(id: u64, shared: &Shared) -> Response {
     let table = lock_recover(&shared.table);
-    let Some(entry) = table.entries.get(&id) else {
-        return Response::error(ErrorClass::NotFound, format!("no sweep with id {id}"));
+    let entry = match entry(&table, id) {
+        Ok(entry) => entry,
+        Err(reply) => return reply,
     };
     let mut info = StatusInfo {
         id,
@@ -1079,31 +1101,39 @@ fn status(id: u64, shared: &Shared) -> Response {
     Response::Status(info)
 }
 
-/// Validates a `results` request; the reply header on success. Results
-/// require a finished sweep, matching the one-shot semantics clients
-/// rely on (`stream` is the progressive alternative).
-fn results_header(id: u64, shared: &Shared) -> Result<Response, Response> {
-    let table = lock_recover(&shared.table);
-    match table.entries.get(&id) {
-        None => Err(Response::error(
-            ErrorClass::NotFound,
-            format!("no sweep with id {id}"),
+/// Sweep `id`'s table entry, or the `not_found` reply.
+fn entry(table: &JobTable, id: u64) -> Result<&Entry, Response> {
+    table
+        .entries
+        .get(&id)
+        .ok_or_else(|| Response::error(ErrorClass::NotFound, format!("no sweep with id {id}")))
+}
+
+fn failed(id: u64, message: &str) -> Response {
+    Response::error(
+        ErrorClass::Internal,
+        format!("sweep {id} failed: {message}"),
+    )
+}
+
+/// The result lines of finished sweep `id`, which `results` and `trace`
+/// require, or the reply saying why there are none yet.
+fn finished_lines(id: u64, shared: &Shared) -> Result<Arc<Vec<Option<String>>>, Response> {
+    match &entry(&lock_recover(&shared.table), id)?.state {
+        EntryState::Queued { .. } | EntryState::Running { .. } => Err(Response::error(
+            ErrorClass::NotReady,
+            format!("sweep {id} has not finished; stream it to wait"),
         )),
-        Some(entry) => match &entry.state {
-            EntryState::Queued { .. } | EntryState::Running { .. } => Err(Response::error(
-                ErrorClass::NotReady,
-                format!("sweep {id} has not finished; poll status"),
-            )),
-            EntryState::Failed { message } => Err(Response::error(
-                ErrorClass::Internal,
-                format!("sweep {id} failed: {message}"),
-            )),
-            EntryState::Done { lines, .. } => {
-                let count = lines.iter().flatten().count() as u64;
-                Ok(Response::ResultsHeader { id, count })
-            }
-        },
+        EntryState::Failed { message } => Err(failed(id, message)),
+        EntryState::Done { lines, .. } => Ok(Arc::clone(lines)),
     }
+}
+
+/// Validates a `results` request; the reply header on success. Results
+/// require a finished sweep (`stream` is the progressive alternative).
+fn results_header(id: u64, shared: &Shared) -> Result<Response, Response> {
+    let count = finished_lines(id, shared)?.iter().flatten().count() as u64;
+    Ok(Response::ResultsHeader { id, count })
 }
 
 /// Validates a `stream` request; the reply header on success. Streams
@@ -1111,21 +1141,13 @@ fn results_header(id: u64, shared: &Shared) -> Result<Response, Response> {
 /// complete.
 fn stream_header(id: u64, shared: &Shared) -> Result<Response, Response> {
     let table = lock_recover(&shared.table);
-    match table.entries.get(&id) {
-        None => Err(Response::error(
-            ErrorClass::NotFound,
-            format!("no sweep with id {id}"),
-        )),
-        Some(entry) => match &entry.state {
-            EntryState::Failed { message } => Err(Response::error(
-                ErrorClass::Internal,
-                format!("sweep {id} failed: {message}"),
-            )),
-            _ => Ok(Response::StreamHeader {
-                id,
-                jobs: entry.jobs,
-            }),
-        },
+    let entry = entry(&table, id)?;
+    match &entry.state {
+        EntryState::Failed { message } => Err(failed(id, message)),
+        _ => Ok(Response::StreamHeader {
+            id,
+            jobs: entry.jobs,
+        }),
     }
 }
 
@@ -1142,12 +1164,13 @@ fn trace_worker(shared: &Shared, rx: &Mutex<Receiver<TraceTask>>, done: &Mutex<V
                 Err(_) => return,
             }
         };
-        let response = trace(task.id, task.index, shared);
+        let response = trace(task.id, task.index, shared).unwrap_or_else(|refusal| refusal);
         lock_recover(done).push(TraceOutcome {
             token: task.token,
             response,
             started: task.started,
         });
+        shared.wake();
     }
 }
 
@@ -1163,71 +1186,42 @@ const TRACE_BUCKET_CYCLES: u64 = 1 << 14;
 /// execution whose stats the sweep already returned; the stored result
 /// lines are untouched. The re-run happens on a trace-pool thread (never
 /// the event loop), under the same panic isolation the harness gives its
-/// workers.
-fn trace(id: u64, index: u64, shared: &Shared) -> Response {
-    let line = {
-        let table = lock_recover(&shared.table);
-        match table.entries.get(&id) {
-            None => return Response::error(ErrorClass::NotFound, format!("no sweep with id {id}")),
-            Some(entry) => match &entry.state {
-                EntryState::Queued { .. } | EntryState::Running { .. } => {
-                    return Response::error(
-                        ErrorClass::NotReady,
-                        format!("sweep {id} has not finished; poll status"),
-                    )
-                }
-                EntryState::Failed { message } => {
-                    return Response::error(
-                        ErrorClass::Internal,
-                        format!("sweep {id} failed: {message}"),
-                    )
-                }
-                EntryState::Done { lines, .. } => match lines.get(index as usize) {
-                    None => {
-                        return Response::error(
-                            ErrorClass::NotFound,
-                            format!("sweep {id} has {} job(s); no index {index}", lines.len()),
-                        )
-                    }
-                    Some(None) => {
-                        return Response::error(
-                            ErrorClass::NotFound,
-                            format!("job {index} of sweep {id} failed; nothing to trace"),
-                        )
-                    }
-                    Some(Some(line)) => line.clone(),
-                },
-            },
+/// workers. A refusal comes back as `Err`, as from the other handlers.
+fn trace(id: u64, index: u64, shared: &Shared) -> Result<Response, Response> {
+    let lines = finished_lines(id, shared)?;
+    let line = match lines.get(index as usize) {
+        Some(Some(line)) => line,
+        None => {
+            return Err(Response::error(
+                ErrorClass::NotFound,
+                format!("sweep {id} has {} job(s); no index {index}", lines.len()),
+            ))
+        }
+        Some(None) => {
+            return Err(Response::error(
+                ErrorClass::NotFound,
+                format!("job {index} of sweep {id} failed; nothing to trace"),
+            ))
         }
     };
-    let spec = match crate::protocol::parse_result_line(&line) {
-        Ok(result) => result.spec,
-        Err(e) => {
-            return Response::error(
-                ErrorClass::Internal,
-                format!("stored result line for job {index} is unreadable: {e}"),
-            )
-        }
-    };
-    let derived = std::panic::catch_unwind(move || {
+    let internal = |message: String| Response::error(ErrorClass::Internal, message);
+    let spec = crate::protocol::parse_result_line(line)
+        .map_err(|e| {
+            internal(format!(
+                "stored result line for job {index} is unreadable: {e}"
+            ))
+        })?
+        .spec;
+    let json_text = std::panic::catch_unwind(move || {
         use senss_trace::{fold, RingSink};
         let mut sys = spec.build_system_with_sink(RingSink::new());
         sys.finish();
         fold(sys.into_sink().events(), TRACE_BUCKET_CYCLES).to_json()
-    });
-    match derived {
-        Ok(json_text) => match senss_harness::json::parse(&json_text) {
-            Ok(derived) => Response::Trace { id, index, derived },
-            Err(e) => Response::error(
-                ErrorClass::Internal,
-                format!("derived metrics did not encode cleanly: {e}"),
-            ),
-        },
-        Err(_) => Response::error(
-            ErrorClass::Internal,
-            format!("traced re-run of job {index} panicked"),
-        ),
-    }
+    })
+    .map_err(|_| internal(format!("traced re-run of job {index} panicked")))?;
+    let derived = senss_harness::json::parse(&json_text)
+        .map_err(|e| internal(format!("derived metrics did not encode cleanly: {e}")))?;
+    Ok(Response::Trace { id, index, derived })
 }
 
 // ---------------------------------------------------------------------------
@@ -1279,6 +1273,7 @@ fn executor_loop(
                 // Drain-then-exit: leave only once the queue is empty.
                 if shared.shutdown.load(Ordering::SeqCst) {
                     shared.executor_done.store(true, Ordering::SeqCst);
+                    shared.wake();
                     return;
                 }
                 table = shared
@@ -1290,8 +1285,16 @@ fn executor_loop(
         shared.metrics.queue_popped();
         // Original-sweep index of each job: identity unless the submit
         // carried the sharding extension.
-        let orig_index = move |i: usize| -> u64 { orig.as_ref().map_or(i as u64, |v| v[i]) };
-        let outcome = run_sweep(harness, runner, coordinator, &sweep, &orig_index, &partial);
+        let orig_of = move |i: usize| -> u64 { orig.as_ref().map_or(i as u64, |v| v[i]) };
+        let outcome = run_sweep(
+            shared,
+            harness,
+            runner,
+            coordinator,
+            &sweep,
+            &orig_of,
+            &partial,
+        );
         let mut table = lock_recover(&shared.table);
         let Some(entry) = table.entries.get_mut(&id) else {
             shared.log(format_args!(
@@ -1323,6 +1326,8 @@ fn executor_loop(
                 };
             }
         }
+        drop(table);
+        shared.wake();
     }
 }
 
@@ -1337,8 +1342,10 @@ struct SweepDone {
 
 /// Executes one sweep — locally through the harness, or sharded across
 /// the cluster — filling `partial` with encoded result lines as jobs
-/// complete so attached streams ship them immediately.
+/// complete and waking the event loop, so attached streams ship them
+/// immediately.
 fn run_sweep(
+    shared: &Shared,
     harness: &Harness,
     runner: Option<&JobRunner>,
     coordinator: Option<&Coordinator>,
@@ -1350,6 +1357,7 @@ fn run_sweep(
         let orig: Vec<u64> = (0..sweep.len()).map(orig_index).collect();
         let on_line = |local: usize, line: String| {
             lock_recover(partial)[local] = Some(line);
+            shared.wake();
         };
         let outcome = coordinator.run_sweep(sweep, &orig, &on_line)?;
         return Ok(SweepDone {
@@ -1364,6 +1372,7 @@ fn run_sweep(
     let observe = |rec: &RunRecord| {
         let line = crate::protocol::result_line_indexed(rec, orig_index(rec.index));
         lock_recover(partial)[rec.index] = Some(line);
+        shared.wake();
     };
     let result = match runner {
         Some(r) => harness.run_with_observed(sweep, |j| r(j), observe),
@@ -1428,7 +1437,7 @@ mod tests {
     #[test]
     fn executor_skips_stale_queue_ids_without_clobbering_done_entries() {
         let cfg = ServerConfig::loopback();
-        let shared = Shared::from_config(&cfg);
+        let shared = Shared::from_config(&cfg).unwrap();
         let spec = JobSpec::new(Workload::Fft, 2, 1 << 20)
             .with_ops(200)
             .with_mode(SecurityMode::senss());

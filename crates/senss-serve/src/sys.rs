@@ -63,7 +63,7 @@ extern "C" {
 /// Waits up to `timeout_ms` for readiness on `fds`, returning how many
 /// entries have non-zero `revents`. A signal interruption (`EINTR`) is
 /// reported as zero ready fds rather than an error — the event loop
-/// just takes its next tick.
+/// just goes round again. `timeout_ms` of -1 waits without a limit.
 pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     // SAFETY: `fds` is a valid, exclusively-borrowed slice of
     // `#[repr(C)]` pollfd-layout structs, and the length passed is its

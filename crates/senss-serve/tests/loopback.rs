@@ -15,11 +15,11 @@ use senss_serve::protocol::{self, Request, Response};
 use senss_serve::{Client, ClientError, ErrorClass, Server, ServerConfig, SweepState};
 use senss_sim::Stats;
 use senss_workloads::Workload;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn small_sweep(name: &str, seed: u64) -> SweepSpec {
     let mut sweep = SweepSpec::new(name);
@@ -95,7 +95,7 @@ fn parsed_results_match_direct_stats() {
     let server = Server::start(ServerConfig::loopback()).unwrap();
     let client = Client::new(server.addr().to_string());
     let sweep = small_sweep("parsed", 7);
-    let results = client.run(&sweep, Duration::from_millis(20)).expect("run");
+    let results = client.run(&sweep).expect("run");
     let direct = Harness::new(HarnessConfig::hermetic()).run(&sweep).unwrap();
     assert_eq!(results.len(), direct.records.len());
     for (got, want) in results.iter().zip(&direct.records) {
@@ -448,15 +448,19 @@ fn corrupt_cache_lines_surface_in_metrics() {
     );
     let server = Server::start(cfg).unwrap();
     let client = Client::new(server.addr().to_string());
-    let sweep = small_sweep("damaged-cache", 11);
-    client.run(&sweep, Duration::from_millis(20)).expect("run");
+    // Two different sweeps: the cache is read once, so its corrupt
+    // lines are counted once, not once per sweep.
+    for (name, seed) in [("damaged-cache", 11), ("damaged-cache-2", 12)] {
+        client.run(&small_sweep(name, seed)).expect("run");
+    }
 
     let m = client.metrics().unwrap();
     assert_eq!(
         m.get("cache_lines_skipped").and_then(|v| v.as_u64()),
         Some(3),
-        "all three corrupt lines must be reported"
+        "all three corrupt lines must be reported, once"
     );
+    assert_eq!(m.get("sweeps_completed").and_then(|v| v.as_u64()), Some(2));
     let _ = std::fs::remove_dir_all(&dir);
     server.shutdown();
 }
@@ -505,12 +509,8 @@ fn metrics_reflect_traffic_including_cache_hits() {
     let client = Client::new(server.addr().to_string());
     let sweep = small_sweep("cachehit", 3);
 
-    let first = client
-        .run(&sweep, Duration::from_millis(20))
-        .expect("first");
-    let second = client
-        .run(&sweep, Duration::from_millis(20))
-        .expect("second");
+    let first = client.run(&sweep).expect("first");
+    let second = client.run(&sweep).expect("second");
     assert_eq!(first, second, "cache-served results must be identical");
 
     let m = client.metrics().unwrap();
@@ -519,9 +519,11 @@ fn metrics_reflect_traffic_including_cache_hits() {
     assert_eq!(get("sweeps_completed"), 2);
     assert_eq!(get("jobs_executed"), 4, "first submission executes");
     assert_eq!(get("jobs_cached"), 4, "second submission is cache-served");
-    assert!(get("requests_submit") == 2);
-    assert!(get("requests_status") >= 2);
-    assert!(get("requests_results") == 2);
+    // `run` waits by streaming: no status polls, no results fetch.
+    assert_eq!(get("requests_submit"), 2);
+    assert_eq!(get("requests_stream"), 2);
+    assert_eq!(get("requests_status"), 0);
+    assert_eq!(get("requests_results"), 0);
     assert!(get("connections_total") > 0);
     let lat = m.get("latency_micros").unwrap();
     // The in-flight metrics request is counted in requests_total but
@@ -709,6 +711,67 @@ fn connections_beyond_the_cap_are_shed_with_overloaded() {
             }
             Err(e) => panic!("freed slot never became usable: {e}"),
         }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn completions_wake_the_event_loop_at_once() {
+    // Every reply here waits on another thread: a stream on the
+    // executor's lines, a trace on a trace thread. A loop that noticed
+    // them only on a timer would add up to one period to each of these
+    // thirty round trips.
+    let cfg = ServerConfig::loopback().with_runner(Arc::new(|_: &JobSpec| Stats {
+        total_cycles: 1,
+        ..Stats::default()
+    }));
+    let server = Server::start(cfg).unwrap();
+    let client = Client::new(server.addr().to_string());
+    let job = JobSpec::new(Workload::Fft, 2, 1 << 20).with_ops(100);
+    let started = Instant::now();
+    let mut id = 0;
+    for seed in 0..20 {
+        let mut sweep = SweepSpec::new(&format!("wake-{seed}"));
+        sweep.push(job.with_seed(seed));
+        id = client.submit(&sweep).expect("submit").0;
+        assert_eq!(client.stream_raw(id).expect("stream").len(), 1);
+    }
+    for _ in 0..10 {
+        client.trace(id, 0).expect("trace");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(300),
+        "20 submit+stream and 10 trace round trips took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn idle_connections_are_reclaimed_at_their_deadline() {
+    // With nothing else happening, only the idle deadline can end the
+    // loop's wait; a `poll` left without a timeout would hold the
+    // connection open forever.
+    let mut cfg = ServerConfig::loopback();
+    cfg.read_timeout = Duration::from_millis(300);
+    let server = Server::start(cfg).unwrap();
+    let started = Instant::now();
+    let mut idle = TcpStream::connect(server.addr()).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut byte = [0u8; 1];
+    assert_eq!(idle.read(&mut byte).unwrap(), 0, "expected EOF");
+    let waited = started.elapsed();
+    assert!(
+        waited >= Duration::from_millis(250) && waited < Duration::from_secs(3),
+        "idle connection closed after {waited:?}"
+    );
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while server.metrics().connections_open.load(Ordering::Relaxed) != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "connections_open never fell to 0"
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
     server.shutdown();
 }

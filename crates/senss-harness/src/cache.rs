@@ -12,8 +12,11 @@
 //! * the file is append-only during a sweep, so a crash mid-run loses at
 //!   most the in-flight entry.
 //!
-//! A [`Harness`](crate::Harness) opens its cache once and keeps it, so
-//! a long-running host parses the file once, not once per sweep.
+//! A [`Harness`](crate::Harness) opens its cache once and keeps it. At
+//! each later sweep it [`refresh`](ResultCache::refresh)es: only lines
+//! appended since the last read are parsed, so a long-running host
+//! still sees what other processes sharing the directory wrote, without
+//! re-parsing the whole file per sweep.
 //!
 //! [`JobSpec::cache_key`]: crate::spec::JobSpec::cache_key
 //! [`CACHE_FORMAT`]: crate::spec::CACHE_FORMAT
@@ -23,8 +26,9 @@ use crate::record::{decode_stats, encode_stats};
 use senss_sim::Stats;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
-use std::path::Path;
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
+use std::os::unix::fs::MetadataExt;
+use std::path::{Path, PathBuf};
 
 /// The on-disk cache file name inside the cache directory.
 pub const CACHE_FILE: &str = "cache.jsonl";
@@ -32,8 +36,11 @@ pub const CACHE_FILE: &str = "cache.jsonl";
 /// An open result cache.
 #[derive(Debug)]
 pub struct ResultCache {
-    /// Read once by `open`, then appended to by every `put`.
+    dir: PathBuf,
+    /// Read by `open` and `refresh`, appended to by every `put`.
     file: File,
+    /// Bytes of `file` already parsed: every complete line before it.
+    read_to: u64,
     entries: HashMap<String, Stats>,
     skipped: usize,
 }
@@ -49,19 +56,59 @@ impl ResultCache {
     /// [`skipped`](ResultCache::skipped) and in one warning on stderr.
     pub fn open(dir: &Path) -> std::io::Result<ResultCache> {
         fs::create_dir_all(dir)?;
-        let path = dir.join(CACHE_FILE);
         let file = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
-            .open(&path)?;
-        let mut entries = HashMap::new();
+            .open(dir.join(CACHE_FILE))?;
+        let mut cache = ResultCache {
+            dir: dir.to_path_buf(),
+            file,
+            read_to: 0,
+            entries: HashMap::new(),
+            skipped: 0,
+        };
+        cache.read_new(true)?;
+        Ok(cache)
+    }
+
+    /// Catches up with the file: parses the lines appended since the
+    /// last read, by this handle or any other. A cache file that was
+    /// removed or replaced is opened afresh, so `rm -rf` of the cache
+    /// directory empties a resident cache too. Returns the corrupt
+    /// lines skipped by this call, which also warns about them.
+    pub fn refresh(&mut self) -> std::io::Result<usize> {
+        let held = self.file.metadata()?;
+        let replaced = match fs::metadata(self.dir.join(CACHE_FILE)) {
+            Ok(on_disk) => (on_disk.dev(), on_disk.ino()) != (held.dev(), held.ino()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
+            Err(e) => return Err(e),
+        };
+        if replaced {
+            *self = ResultCache::open(&self.dir)?;
+            return Ok(self.skipped);
+        }
+        self.read_new(false)
+    }
+
+    /// Parses complete lines from `read_to` on. A final line without a
+    /// newline may still be being appended, so it stays unread; only
+    /// `open` parses it, as the remnant of an earlier run.
+    fn read_new(&mut self, at_open: bool) -> std::io::Result<usize> {
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(self.read_to))?;
+        let mut reader = BufReader::new(file);
         let mut skipped = 0;
-        let mut reader = BufReader::new(&file);
         let mut raw = Vec::new();
         loop {
             raw.clear();
-            if reader.read_until(b'\n', &mut raw)? == 0 {
+            let n = reader.read_until(b'\n', &mut raw)?;
+            if n == 0 {
+                break;
+            }
+            if raw.ends_with(b"\n") {
+                self.read_to += n as u64;
+            } else if !at_open {
                 break;
             }
             let Ok(line) = std::str::from_utf8(&raw) else {
@@ -73,7 +120,7 @@ impl ResultCache {
             }
             match parse_entry(line.trim_end_matches(['\r', '\n'])) {
                 Some((key, stats)) => {
-                    entries.insert(key, stats);
+                    self.entries.insert(key, stats);
                 }
                 None => skipped += 1,
             }
@@ -82,18 +129,15 @@ impl ResultCache {
             eprintln!(
                 "harness: skipped {skipped} corrupt cache line(s) in {}; \
                  affected jobs will re-execute",
-                path.display()
+                self.dir.join(CACHE_FILE).display()
             );
         }
-        Ok(ResultCache {
-            file,
-            entries,
-            skipped,
-        })
+        self.skipped += skipped;
+        Ok(skipped)
     }
 
     /// Number of on-disk lines that were corrupt or truncated and had
-    /// to be skipped while loading.
+    /// to be skipped while loading or refreshing.
     pub fn skipped(&self) -> usize {
         self.skipped
     }
@@ -125,8 +169,15 @@ impl ResultCache {
         ])
         .encode();
         line.push('\n');
-        (&self.file).write_all(line.as_bytes())?;
+        let mut file = &self.file;
+        file.write_all(line.as_bytes())?;
         self.entries.insert(key.to_string(), stats.clone());
+        // An `O_APPEND` write leaves the offset at the end of its line:
+        // if nothing unread precedes the line, `refresh` may skip it.
+        let end = file.stream_position()?;
+        if end - line.len() as u64 == self.read_to {
+            self.read_to = end;
+        }
         Ok(())
     }
 }
@@ -272,6 +323,62 @@ mod tests {
         assert_eq!(c.skipped(), 0, "no appended line may be torn");
         assert_eq!(c.len() as u64, THREADS * PUTS);
         assert_eq!(c.get("t3-7").unwrap().total_cycles, 3 * PUTS + 7);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refresh_reads_only_what_others_appended() {
+        let dir = tmp_dir("refresh");
+        let stats = |cycles| Stats {
+            total_cycles: cycles,
+            ..Stats::default()
+        };
+        let mut resident = ResultCache::open(&dir).unwrap();
+        let mut other = ResultCache::open(&dir).unwrap();
+        resident.put("mine", &stats(1)).unwrap();
+        other.put("theirs", &stats(2)).unwrap();
+        assert_eq!(resident.get("theirs"), None);
+        assert_eq!(resident.refresh().unwrap(), 0);
+        assert_eq!(resident.get("theirs"), Some(&stats(2)));
+        assert_eq!(
+            resident.read_to,
+            fs::metadata(dir.join(CACHE_FILE)).unwrap().len()
+        );
+
+        // A damaged line counts once, in the refresh that reads it.
+        let mut raw = OpenOptions::new()
+            .append(true)
+            .open(dir.join(CACHE_FILE))
+            .unwrap();
+        raw.write_all(b"not json\n").unwrap();
+        assert_eq!(resident.refresh().unwrap(), 1);
+        assert_eq!(resident.refresh().unwrap(), 0);
+        assert_eq!(resident.skipped(), 1);
+
+        // A line still being appended waits for its newline.
+        raw.write_all(b"{\"key\":").unwrap();
+        assert_eq!(resident.refresh().unwrap(), 0);
+        raw.write_all(b"\"late\"}\n").unwrap();
+        assert_eq!(resident.refresh().unwrap(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refresh_reopens_a_removed_cache() {
+        let dir = tmp_dir("removed");
+        let stats = Stats::default();
+        let mut resident = ResultCache::open(&dir).unwrap();
+        resident.put("old", &stats).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        resident.refresh().unwrap();
+        assert!(
+            resident.is_empty(),
+            "a removed cache must not keep serving hits"
+        );
+        resident.put("new", &stats).unwrap();
+        let reopened = ResultCache::open(&dir).unwrap();
+        assert_eq!(reopened.len(), 1);
+        assert!(reopened.get("new").is_some());
         fs::remove_dir_all(&dir).unwrap();
     }
 

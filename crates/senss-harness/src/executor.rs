@@ -206,11 +206,12 @@ pub struct SweepResult {
     /// `executed`): their shared prefix was restored from a checkpoint
     /// instead of re-simulated.
     pub forked: usize,
-    /// Corrupt or truncated cache lines skipped when this sweep opened
-    /// the result cache. A [`Harness`] opens its cache on its first
-    /// sweep only, so later sweeps (and runs with the cache off) read
-    /// 0. Non-zero means the on-disk cache was damaged and some hits
-    /// degraded to re-executions.
+    /// Corrupt or truncated cache lines skipped when this sweep read
+    /// the result cache. A [`Harness`] parses each line once: its first
+    /// sweep opens the file and later ones read only lines appended
+    /// since, so a damaged line counts in one sweep (and runs with the
+    /// cache off read 0). Non-zero means the on-disk cache was damaged
+    /// and some hits degraded to re-executions.
     pub cache_skipped: usize,
     /// Worker threads used.
     pub workers: usize,
@@ -335,8 +336,8 @@ enum WorkItem {
 #[derive(Debug)]
 pub struct Harness {
     cfg: HarnessConfig,
-    /// The result cache, opened by the first sweep and kept for every
-    /// later one.
+    /// The result cache, opened by the first sweep and refreshed by
+    /// every later one.
     cache: Mutex<Option<ResultCache>>,
 }
 
@@ -421,12 +422,16 @@ impl Harness {
     {
         let started = Instant::now();
         let mut cache = self.cache();
-        let mut cache_skipped = 0;
-        if let (None, Some(dir)) = (&*cache, &self.cfg.cache_dir) {
-            let opened = ResultCache::open(dir)?;
-            cache_skipped = opened.skipped();
-            *cache = Some(opened);
-        }
+        let cache_skipped = match (&mut *cache, &self.cfg.cache_dir) {
+            (Some(resident), _) => resident.refresh()?,
+            (None, Some(dir)) => {
+                let opened = ResultCache::open(dir)?;
+                let skipped = opened.skipped();
+                *cache = Some(opened);
+                skipped
+            }
+            (None, None) => 0,
+        };
 
         // Partition into cache hits and jobs that must execute.
         let keys: Vec<String> = sweep.jobs.iter().map(JobSpec::cache_key).collect();
@@ -546,10 +551,11 @@ impl Harness {
 
         failures.sort_by_key(|f| f.index);
         let records: Vec<RunRecord> = slots.into_iter().flatten().collect();
-        let mut by_spec = HashMap::new();
-        for (i, r) in records.iter().enumerate() {
-            by_spec.insert(r.spec, i);
-        }
+        let by_spec = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.spec, i))
+            .collect();
         let result = SweepResult {
             name: sweep.name.clone(),
             records,
@@ -591,47 +597,29 @@ impl Harness {
 /// First-occurrence order is preserved so scheduling stays
 /// deterministic.
 fn plan_fork_groups(jobs: &[JobSpec], pending: &VecDeque<usize>) -> VecDeque<WorkItem> {
-    let mut groups: HashMap<JobSpec, Vec<usize>> = HashMap::new();
-    let mut order: Vec<JobSpec> = Vec::new();
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    let mut slot_of: HashMap<JobSpec, usize> = HashMap::new();
     for &index in pending {
         let key = JobSpec {
             ops_per_core: 0,
             ..jobs[index]
         };
-        let entry = groups.entry(key).or_default();
-        if entry.is_empty() {
-            order.push(key);
-        }
-        entry.push(index);
+        let slot = *slot_of.entry(key).or_insert_with(|| {
+            members.push(Vec::new());
+            members.len() - 1
+        });
+        members[slot].push(index);
     }
-    let mut grouped: HashMap<JobSpec, Vec<usize>> = HashMap::new();
-    for key in &order {
-        let members = &groups[key];
-        if members.len() >= 2 {
-            let mut sorted = members.clone();
-            sorted.sort_by_key(|&i| (jobs[i].ops_per_core, i));
-            grouped.insert(*key, sorted);
-        }
-    }
-    let mut items = VecDeque::new();
-    let mut emitted: HashMap<JobSpec, bool> = HashMap::new();
-    for &index in pending {
-        let key = JobSpec {
-            ops_per_core: 0,
-            ..jobs[index]
-        };
-        match grouped.get(&key) {
-            Some(members) => {
-                // Emit the whole group at the first member's position.
-                if !emitted.get(&key).copied().unwrap_or(false) {
-                    emitted.insert(key, true);
-                    items.push_back(WorkItem::Group(members.clone()));
-                }
+    members
+        .into_iter()
+        .map(|mut group| {
+            if group.len() < 2 {
+                return WorkItem::Single(group[0]);
             }
-            None => items.push_back(WorkItem::Single(index)),
-        }
-    }
-    items
+            group.sort_by_key(|&i| (jobs[i].ops_per_core, i));
+            WorkItem::Group(group)
+        })
+        .collect()
 }
 
 /// Executes a warm-start fork group, falling back to individual cold
@@ -648,21 +636,12 @@ where
     F: Fn(&JobSpec) -> Stats + Sync,
 {
     let started = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| warm_start_group(jobs, indices)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| warm_start_group(jobs, indices)))
+        .unwrap_or_else(|payload| Err(format!("panicked: {}", panic_message(payload.as_ref()))));
     let results = match outcome {
-        Ok(Ok(results)) => results,
-        Ok(Err(reason)) => {
+        Ok(results) => results,
+        Err(reason) => {
             eprintln!("harness: warm-start fork unavailable ({reason}); running group cold");
-            return indices
-                .iter()
-                .map(|&i| run_one(cfg, runner, &jobs[i], i, worker))
-                .collect();
-        }
-        Err(payload) => {
-            eprintln!(
-                "harness: warm-start fork panicked ({}); running group cold",
-                panic_message(payload.as_ref())
-            );
             return indices
                 .iter()
                 .map(|&i| run_one(cfg, runner, &jobs[i], i, worker))
@@ -672,23 +651,9 @@ where
     let wall_micros = started.elapsed().as_micros() as u64;
     results
         .into_iter()
-        .map(|(index, stats, forked)| match cfg.cycle_budget {
-            Some(budget) if stats.total_cycles > budget => WorkerMsg::Failed(JobFailure {
-                index,
-                spec: jobs[index],
-                error: JobError::CycleBudgetExceeded {
-                    cycles: stats.total_cycles,
-                    budget,
-                },
-                attempts: 1,
-            }),
-            _ => WorkerMsg::Done {
-                index,
-                stats,
-                wall_micros,
-                worker,
-                forked,
-            },
+        .map(|(index, stats, forked)| {
+            let ran = Ok((stats, wall_micros, forked));
+            finished(cfg, &jobs[index], index, worker, ran)
         })
         .collect()
 }
@@ -749,8 +714,23 @@ where
     F: Fn(&JobSpec) -> Stats + Sync,
 {
     let started = Instant::now();
-    let error = match catch_unwind(AssertUnwindSafe(|| runner(spec))) {
-        Ok(stats) => match cfg.cycle_budget {
+    let ran = catch_unwind(AssertUnwindSafe(|| runner(spec)))
+        .map(|stats| (stats, started.elapsed().as_micros() as u64, false))
+        .map_err(|payload| JobError::Panicked(panic_message(payload.as_ref())));
+    finished(cfg, spec, index, worker, ran)
+}
+
+/// A job's message once it ran (`Ok((stats, wall_micros, forked))`) or
+/// panicked; a run over the cycle budget fails too.
+fn finished(
+    cfg: &HarnessConfig,
+    spec: &JobSpec,
+    index: usize,
+    worker: usize,
+    ran: Result<(Stats, u64, bool), JobError>,
+) -> WorkerMsg {
+    let error = match ran {
+        Ok((stats, wall_micros, forked)) => match cfg.cycle_budget {
             Some(budget) if stats.total_cycles > budget => JobError::CycleBudgetExceeded {
                 cycles: stats.total_cycles,
                 budget,
@@ -759,13 +739,13 @@ where
                 return WorkerMsg::Done {
                     index,
                     stats,
-                    wall_micros: started.elapsed().as_micros() as u64,
+                    wall_micros,
                     worker,
-                    forked: false,
+                    forked,
                 }
             }
         },
-        Err(payload) => JobError::Panicked(panic_message(payload.as_ref())),
+        Err(error) => error,
     };
     WorkerMsg::Failed(JobFailure {
         index,

@@ -218,6 +218,30 @@ fn one_harness_keeps_its_cache_across_sweeps() {
 }
 
 #[test]
+fn a_resident_cache_sees_what_another_harness_cached() {
+    // Two harnesses sharing a cache directory, as cluster workers do:
+    // each keeps its cache open, yet a job the other executed is a hit.
+    let dir = tmp_dir("shared");
+    let cfg = HarnessConfig::hermetic().with_cache_dir(&dir);
+    let (first, second) = (Harness::new(cfg.clone()), Harness::new(cfg));
+    let mut warm_up = SweepSpec::new("warm-up");
+    warm_up.push(JobSpec::new(Workload::Fft, 2, 1 << 20).with_ops(100));
+    first.run_with(&warm_up, synthetic).unwrap();
+    let sweep = small_sweep("shared");
+    assert_eq!(
+        second.run_with(&sweep, synthetic).unwrap().executed,
+        sweep.len()
+    );
+    let result = first.run_with(&sweep, synthetic).unwrap();
+    assert_eq!(
+        result.executed, 0,
+        "the other harness's entries must be hits"
+    );
+    assert_eq!(result.cache_skipped, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn run_records_are_written_as_jsonl() {
     let dir = tmp_dir("records");
     let mut sweep = SweepSpec::new("records_sweep");

@@ -113,19 +113,7 @@ impl Client {
                 "server closed the connection mid-exchange".to_string(),
             ));
         }
-        match Response::decode(line.trim()) {
-            Ok(Response::Error {
-                class,
-                retriable,
-                message,
-            }) => Err(ClientError::Server {
-                class,
-                retriable,
-                message,
-            }),
-            Ok(r) => Ok(r),
-            Err(m) => Err(ClientError::Protocol(m)),
-        }
+        decode(line.trim())
     }
 
     /// Sends one request and reads the first response frame.
@@ -137,15 +125,21 @@ impl Client {
         Ok((reader, response))
     }
 
-    /// Submits a sweep; no retry. Returns `(id, jobs accepted)`.
-    pub fn submit_once(&self, sweep: &SweepSpec) -> Result<(u64, u64), ClientError> {
-        match self.call(&Request::Submit {
-            sweep: sweep.clone(),
-            indices: None,
-        })? {
+    fn submit_with(
+        &self,
+        sweep: &SweepSpec,
+        indices: Option<Vec<u64>>,
+    ) -> Result<(u64, u64), ClientError> {
+        let sweep = sweep.clone();
+        match self.call(&Request::Submit { sweep, indices })? {
             (_, Response::Submitted { id, jobs }) => Ok((id, jobs)),
             (_, other) => Err(unexpected("submitted", &other)),
         }
+    }
+
+    /// Submits a sweep; no retry. Returns `(id, jobs accepted)`.
+    pub fn submit_once(&self, sweep: &SweepSpec) -> Result<(u64, u64), ClientError> {
+        self.submit_with(sweep, None)
     }
 
     /// Submits a shard of a larger sweep, tagging each job with its
@@ -157,13 +151,7 @@ impl Client {
         sweep: &SweepSpec,
         indices: &[u64],
     ) -> Result<(u64, u64), ClientError> {
-        match self.call(&Request::Submit {
-            sweep: sweep.clone(),
-            indices: Some(indices.to_vec()),
-        })? {
-            (_, Response::Submitted { id, jobs }) => Ok((id, jobs)),
-            (_, other) => Err(unexpected("submitted", &other)),
-        }
+        self.submit_with(sweep, Some(indices.to_vec()))
     }
 
     /// Submits a sweep, backing off and retrying (up to the configured
@@ -254,22 +242,12 @@ impl Client {
                 on_line(line);
                 continue;
             }
-            return match Response::decode(line) {
-                Ok(Response::End { count, .. }) if count == delivered => Ok(delivered),
-                Ok(Response::End { count, .. }) => Err(ClientError::Protocol(format!(
+            return match decode(line)? {
+                Response::End { count, .. } if count == delivered => Ok(delivered),
+                Response::End { count, .. } => Err(ClientError::Protocol(format!(
                     "stream end frame promised {count} lines but {delivered} arrived"
                 ))),
-                Ok(Response::Error {
-                    class,
-                    retriable,
-                    message,
-                }) => Err(ClientError::Server {
-                    class,
-                    retriable,
-                    message,
-                }),
-                Ok(other) => Err(unexpected("end", &other)),
-                Err(m) => Err(ClientError::Protocol(m)),
+                other => Err(unexpected("end", &other)),
             };
         }
     }
@@ -330,6 +308,24 @@ impl Client {
     pub fn run(&self, sweep: &SweepSpec) -> Result<Vec<JobResult>, ClientError> {
         let (id, _) = self.submit(sweep)?;
         self.stream(id)
+    }
+}
+
+/// Decodes one response frame; an `error` frame becomes
+/// [`ClientError::Server`].
+fn decode(line: &str) -> Result<Response, ClientError> {
+    match Response::decode(line) {
+        Ok(Response::Error {
+            class,
+            retriable,
+            message,
+        }) => Err(ClientError::Server {
+            class,
+            retriable,
+            message,
+        }),
+        Ok(r) => Ok(r),
+        Err(m) => Err(ClientError::Protocol(m)),
     }
 }
 

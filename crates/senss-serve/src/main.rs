@@ -107,16 +107,11 @@ impl Flags {
     /// A flag the subcommand cannot work without: absence is reported
     /// explicitly (never papered over with a sentinel value).
     fn require_u64(&self, key: &str) -> u64 {
-        match self.get(key) {
-            None => {
-                eprintln!("senss-serve: missing required flag --{key}");
-                std::process::exit(2);
-            }
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("senss-serve: bad value for --{key}: {v:?} (expected an id)");
-                std::process::exit(2);
-            }),
+        if !self.has(key) {
+            eprintln!("senss-serve: missing required flag --{key}");
+            std::process::exit(2);
         }
+        self.parse_or(key, 0)
     }
 }
 

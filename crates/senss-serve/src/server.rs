@@ -11,7 +11,10 @@
 //!
 //! The loop never ticks: a byte on its wake socket reports each
 //! finished job, sweep and trace, and shutdown. Otherwise `poll` sleeps
-//! until the earliest idle, stalled-write or drain deadline, if any.
+//! until the earliest idle, stalled-write or drain deadline, if any, or
+//! returns at once when a connection that flushed its buffer may have
+//! more of a stream or more queued frames to serve. A `poll` failure
+//! closes every connection and drains instead of spinning on retries.
 //!
 //! Both bounds shed load instead of blocking: past `max_conns` a new
 //! connection gets an `overloaded` frame and is closed, and a full
@@ -221,12 +224,7 @@ struct Shared {
     queue_cv: Condvar,
     shutdown: AtomicBool,
     executor_done: AtomicBool,
-    queue_capacity: usize,
-    max_conns: usize,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    max_frame_bytes: usize,
-    quiet: bool,
+    cfg: ServerConfig,
     /// The wake socket: the event loop polls `wake_rx`.
     wake_rx: UnixStream,
     wake_tx: UnixStream,
@@ -246,12 +244,7 @@ impl Shared {
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             executor_done: AtomicBool::new(false),
-            queue_capacity: cfg.queue_capacity,
-            max_conns: cfg.max_conns,
-            read_timeout: cfg.read_timeout,
-            write_timeout: cfg.write_timeout,
-            max_frame_bytes: cfg.max_frame_bytes,
-            quiet: cfg.quiet,
+            cfg: cfg.clone(),
             wake_rx,
             wake_tx,
         }))
@@ -264,7 +257,7 @@ impl Shared {
     }
 
     fn log(&self, msg: std::fmt::Arguments<'_>) {
-        if !self.quiet {
+        if !self.cfg.quiet {
             eprintln!("senss-serve: {msg}");
         }
     }
@@ -349,10 +342,9 @@ impl Server {
         {
             let shared = Arc::clone(&shared);
             let harness = Harness::new(cfg.harness.clone());
-            let runner = cfg.runner.clone();
             let coordinator = coordinator.clone();
             threads.push(std::thread::spawn(move || {
-                executor_loop(&shared, &harness, runner.as_ref(), coordinator.as_deref())
+                executor_loop(&shared, &harness, coordinator.as_deref())
             }));
         }
         Ok(Server {
@@ -598,6 +590,10 @@ fn event_loop(
     // The earliest idle, stalled-write or drain deadline: `poll` sleeps
     // until then unless a socket or a wake byte arrives first.
     let mut wait_until: Option<Instant> = None;
+    // Set when a connection flushed its whole buffer and may have more
+    // to send at once: the rest of a stream, or frames queued behind
+    // one. No socket event would announce that, so `poll` does not wait.
+    let mut again = false;
 
     loop {
         if shared.shutdown.load(Ordering::SeqCst) && listener.is_some() {
@@ -617,7 +613,7 @@ fn event_loop(
         for (&token, conn) in &conns {
             let mut events = 0i16;
             let room = !conn.eof
-                && conn.rbuf.len() <= shared.max_frame_bytes
+                && conn.rbuf.len() <= shared.cfg.max_frame_bytes
                 && conn.pending_out() < WRITE_HIGH_WATER
                 && !conn.close_after_flush;
             if room {
@@ -631,13 +627,23 @@ fn event_loop(
         }
 
         // Wake a millisecond past the deadline: the checks below are strict.
-        let timeout_ms = wait_until.map_or(-1, |t| {
-            let ms = t.saturating_duration_since(Instant::now()).as_millis() + 1;
-            ms.min(i32::MAX as u128) as i32
-        });
+        let timeout_ms = match wait_until {
+            _ if again => 0,
+            None => -1,
+            Some(t) => {
+                let ms = t.saturating_duration_since(Instant::now()).as_millis() + 1;
+                ms.min(i32::MAX as u128) as i32
+            }
+        };
         if let Err(e) = sys::poll_fds(&mut fds, timeout_ms) {
-            shared.log(format_args!("poll failed: {e}; draining"));
+            // A loop that cannot poll can serve no socket; retrying would
+            // only spin. The executor still drains its queue.
+            shared.log(format_args!(
+                "poll failed: {e}; closing {} connection(s) and draining",
+                conns.len()
+            ));
             trigger_shutdown(shared);
+            break;
         }
 
         if fds[0].ready(sys::POLLIN) {
@@ -655,7 +661,8 @@ fn event_loop(
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            if (fd.ready(sys::POLLIN) || fd.failed()) && !conn.try_read(shared.max_frame_bytes) {
+            if (fd.ready(sys::POLLIN) || fd.failed()) && !conn.try_read(shared.cfg.max_frame_bytes)
+            {
                 dead.push(token);
                 continue;
             }
@@ -685,6 +692,7 @@ fn event_loop(
             shared.shutdown.load(Ordering::SeqCst) && shared.executor_done.load(Ordering::SeqCst);
         let mut progress = false;
         wait_until = None;
+        again = false;
         conns.retain(|&token, conn| {
             if !drained {
                 process_frames(conn, token, shared, trace_tx);
@@ -695,6 +703,11 @@ fn event_loop(
                 return false;
             }
             progress |= conn.pending_out() < before;
+            // Serving stopped at the high-water mark or at a stream's
+            // end; with the buffer empty, more may be ready now.
+            again |= before > 0
+                && conn.pending_out() == 0
+                && (conn.stream_state.is_some() || !conn.rbuf.is_empty());
             if conn.close_after_flush && conn.pending_out() == 0 {
                 return false;
             }
@@ -709,9 +722,9 @@ fn event_loop(
             // Idle reclaim, or a stalled writer; a connection waiting on
             // a stream or a trace has no deadline of its own.
             let limit = if settled {
-                shared.read_timeout
+                shared.cfg.read_timeout
             } else if conn.pending_out() > 0 {
-                shared.write_timeout
+                shared.cfg.write_timeout
             } else {
                 return true;
             };
@@ -733,7 +746,7 @@ fn event_loop(
             }
             let deadline = match drain_deadline {
                 Some(d) if !progress => d,
-                _ => now + shared.write_timeout,
+                _ => now + shared.cfg.write_timeout,
             };
             if now >= deadline {
                 shared.log(format_args!(
@@ -765,7 +778,7 @@ fn accept_ready(
                     .metrics
                     .connections_total
                     .fetch_add(1, Ordering::Relaxed);
-                if conns.len() >= shared.max_conns {
+                if conns.len() >= shared.cfg.max_conns {
                     shared
                         .metrics
                         .connections_rejected
@@ -802,7 +815,7 @@ fn reject_connection(stream: TcpStream, shared: &Shared) {
         ErrorClass::Overloaded,
         format!(
             "connection limit reached ({} open); retry with backoff",
-            shared.max_conns
+            shared.cfg.max_conns
         ),
     )
     .encode();
@@ -822,7 +835,7 @@ fn process_frames(conn: &mut Conn, token: u64, shared: &Shared, trace_tx: &Sende
         {
             return;
         }
-        let frame = match extract_frame(&mut conn.rbuf, shared.max_frame_bytes) {
+        let frame = match extract_frame(&mut conn.rbuf, shared.cfg.max_frame_bytes) {
             Extracted::Incomplete => {
                 if conn.eof && !conn.rbuf.is_empty() {
                     // A final unterminated frame is still served, like
@@ -839,7 +852,7 @@ fn process_frames(conn: &mut Conn, token: u64, shared: &Shared, trace_tx: &Sende
                     shared,
                     &Response::error(
                         ErrorClass::Malformed,
-                        format!("frame exceeds {} bytes", shared.max_frame_bytes),
+                        format!("frame exceeds {} bytes", shared.cfg.max_frame_bytes),
                     ),
                 );
                 conn.close_after_flush = true;
@@ -1034,13 +1047,13 @@ fn submit(sweep: SweepSpec, orig: Option<Vec<u64>>, shared: &Shared) -> Response
     }
     let jobs = sweep.len() as u64;
     let mut table = lock_recover(&shared.table);
-    if table.queue.len() >= shared.queue_capacity {
+    if table.queue.len() >= shared.cfg.queue_capacity {
         return Response::error(
             ErrorClass::Overloaded,
             format!(
                 "sweep queue full ({} queued, capacity {}); retry with backoff",
                 table.queue.len(),
-                shared.queue_capacity
+                shared.cfg.queue_capacity
             ),
         );
     }
@@ -1070,35 +1083,26 @@ fn status(id: u64, shared: &Shared) -> Response {
         Ok(entry) => entry,
         Err(reply) => return reply,
     };
-    let mut info = StatusInfo {
-        id,
-        state: SweepState::Queued,
-        jobs: entry.jobs,
-        executed: 0,
-        cached: 0,
-        failures: 0,
-        message: String::new(),
-    };
-    match &entry.state {
-        EntryState::Queued { .. } => {}
-        EntryState::Running { .. } => info.state = SweepState::Running,
+    let (state, (executed, cached, failures), message) = match &entry.state {
+        EntryState::Queued { .. } => (SweepState::Queued, (0, 0, 0), ""),
+        EntryState::Running { .. } => (SweepState::Running, (0, 0, 0), ""),
         EntryState::Done {
             executed,
             cached,
             failures,
             ..
-        } => {
-            info.state = SweepState::Done;
-            info.executed = *executed;
-            info.cached = *cached;
-            info.failures = *failures;
-        }
-        EntryState::Failed { message } => {
-            info.state = SweepState::Failed;
-            info.message = message.clone();
-        }
-    }
-    Response::Status(info)
+        } => (SweepState::Done, (*executed, *cached, *failures), ""),
+        EntryState::Failed { message } => (SweepState::Failed, (0, 0, 0), message.as_str()),
+    };
+    Response::Status(StatusInfo {
+        id,
+        state,
+        jobs: entry.jobs,
+        executed,
+        cached,
+        failures,
+        message: message.to_string(),
+    })
 }
 
 /// Sweep `id`'s table entry, or the `not_found` reply.
@@ -1228,12 +1232,7 @@ fn trace(id: u64, index: u64, shared: &Shared) -> Result<Response, Response> {
 // The executor
 // ---------------------------------------------------------------------------
 
-fn executor_loop(
-    shared: &Shared,
-    harness: &Harness,
-    runner: Option<&JobRunner>,
-    coordinator: Option<&Coordinator>,
-) {
+fn executor_loop(shared: &Shared, harness: &Harness, coordinator: Option<&Coordinator>) {
     loop {
         let (id, sweep, orig, partial) = {
             let mut table = lock_recover(&shared.table);
@@ -1286,15 +1285,7 @@ fn executor_loop(
         // Original-sweep index of each job: identity unless the submit
         // carried the sharding extension.
         let orig_of = move |i: usize| -> u64 { orig.as_ref().map_or(i as u64, |v| v[i]) };
-        let outcome = run_sweep(
-            shared,
-            harness,
-            runner,
-            coordinator,
-            &sweep,
-            &orig_of,
-            &partial,
-        );
+        let outcome = run_sweep(shared, harness, coordinator, &sweep, &orig_of, &partial);
         let mut table = lock_recover(&shared.table);
         let Some(entry) = table.entries.get_mut(&id) else {
             shared.log(format_args!(
@@ -1347,7 +1338,6 @@ struct SweepDone {
 fn run_sweep(
     shared: &Shared,
     harness: &Harness,
-    runner: Option<&JobRunner>,
     coordinator: Option<&Coordinator>,
     sweep: &SweepSpec,
     orig_index: &(dyn Fn(usize) -> u64 + Sync),
@@ -1374,7 +1364,7 @@ fn run_sweep(
         lock_recover(partial)[rec.index] = Some(line);
         shared.wake();
     };
-    let result = match runner {
+    let result = match &shared.cfg.runner {
         Some(r) => harness.run_with_observed(sweep, |j| r(j), observe),
         None => harness.run_observed(sweep, observe),
     }?;
@@ -1475,7 +1465,7 @@ mod tests {
         }
         shared.shutdown.store(true, Ordering::SeqCst);
         let harness = Harness::new(HarnessConfig::hermetic());
-        executor_loop(&shared, &harness, None, None);
+        executor_loop(&shared, &harness, None);
 
         let table = lock_recover(&shared.table);
         match &table.entries.get(&7).unwrap().state {

@@ -37,6 +37,5 @@ pub use cache::ResultCache;
 pub use executor::{env_number, Harness, HarnessConfig, JobError, JobFailure, SweepResult};
 pub use record::{decode_spec, encode_spec, RunRecord};
 pub use spec::{
-    coherence_from_tag, coherence_tag, JobSpec, SecurityMode, SweepShard, SweepSpec, TraceSpec,
-    CACHE_FORMAT,
+    coherence_from_tag, coherence_tag, JobSpec, SecurityMode, SweepSpec, TraceSpec, CACHE_FORMAT,
 };

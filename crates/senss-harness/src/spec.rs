@@ -235,9 +235,8 @@ impl SecurityMode {
         }
     }
 
-    /// Relative cost weight of simulating this mode (baseline = 100),
-    /// the mode factor in [`JobSpec::estimated_cost`]. Calibrated
-    /// coarsely from wall-time ratios: the integrated stack walks
+    /// Relative cost weight of simulating this mode (baseline = 100).
+    /// Calibrated coarsely from wall-time ratios: the integrated stack walks
     /// Merkle chains (expensive), scattered memory multiplies fill
     /// traffic, the bus-only modes add a few percent.
     pub fn cost_weight(&self) -> u64 {
@@ -528,15 +527,6 @@ impl JobSpec {
         )
     }
 
-    /// Estimated simulation cost of this job in arbitrary units: the
-    /// cycle budget (`ops_per_core × cores`) scaled by the mode's
-    /// [`cost_weight`](SecurityMode::cost_weight). Used by
-    /// [`SweepSpec::shards`] to balance heterogeneous sweeps across
-    /// workers; never zero, so every job moves the balance.
-    pub fn estimated_cost(&self) -> u64 {
-        ((self.ops_per_core as u64) * (self.cores as u64)).max(1) * self.mode.cost_weight()
-    }
-
     /// The content-addressed cache key: hex SHA-256 of [`canonical`].
     ///
     /// [`canonical`]: JobSpec::canonical
@@ -613,65 +603,6 @@ impl SweepSpec {
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
     }
-
-    /// Splits the sweep into at most `n` shards, balancing
-    /// [`JobSpec::estimated_cost`] instead of job *count*: each job (in
-    /// sweep order) goes to the currently least-loaded shard, ties
-    /// resolved to the lowest shard number. A sweep mixing 16-core
-    /// integrated-mode jobs with 4-core baselines therefore spreads its
-    /// expensive points across workers instead of letting `i % n` pile
-    /// them onto whichever slot the grid order happens to align with.
-    /// For a uniform-cost sweep the greedy assignment degenerates to
-    /// exactly the old round-robin, and it is deterministic either way
-    /// (pure function of the spec). Empty shards are omitted, so the
-    /// returned vector has `min(n, self.len())` entries for a
-    /// non-empty sweep (costs are never zero, so an idle shard always
-    /// wins the tie before any shard receives a second job).
-    ///
-    /// Within a shard, jobs keep their sweep order, so a shard's
-    /// results sorted by its [`SweepShard::indices`] interleave back
-    /// into exactly the original sweep order — the property the
-    /// `senss-serve` coordinator's ordered merge relies on for
-    /// byte-identical sharded results no matter how jobs were
-    /// balanced.
-    pub fn shards(&self, n: usize) -> Vec<SweepShard> {
-        let n = n.max(1);
-        let mut shards: Vec<SweepShard> = (0..n.min(self.jobs.len()))
-            .map(|shard| SweepShard {
-                shard,
-                indices: Vec::new(),
-                spec: SweepSpec::new(&format!("{}.s{shard}", self.name)),
-            })
-            .collect();
-        let mut loads = vec![0u64; shards.len()];
-        for (i, job) in self.jobs.iter().enumerate() {
-            let lightest = loads
-                .iter()
-                .enumerate()
-                .min_by_key(|&(slot, &load)| (load, slot))
-                .map(|(slot, _)| slot)
-                .expect("non-empty sweep has at least one shard");
-            loads[lightest] += job.estimated_cost();
-            let s = &mut shards[lightest];
-            s.indices.push(i);
-            s.spec.jobs.push(*job);
-        }
-        shards
-    }
-}
-
-/// One shard of a [`SweepSpec`], as produced by [`SweepSpec::shards`]:
-/// a sub-sweep plus the original sweep indices of its jobs (parallel to
-/// `spec.jobs`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepShard {
-    /// Shard number (also the worker slot it is assigned to).
-    pub shard: usize,
-    /// Original sweep index of each job in [`spec`](SweepShard::spec),
-    /// in shard order. Strictly increasing by construction.
-    pub indices: Vec<usize>,
-    /// The jobs of this shard, as a submittable sweep.
-    pub spec: SweepSpec,
 }
 
 #[cfg(test)]
@@ -862,81 +793,6 @@ mod tests {
         }
         assert_eq!(TraceSpec::from_tag("micro:nope"), None);
         assert_eq!(coherence_from_tag("mesi"), None);
-    }
-
-    #[test]
-    fn shards_partition_round_robin_and_cover_every_job() {
-        let mut sweep = SweepSpec::new("shardme");
-        sweep.grid(
-            &Workload::all(),
-            &[2],
-            &[1 << 20],
-            &[SecurityMode::Baseline],
-            100,
-            1,
-        );
-        assert_eq!(sweep.len(), 5);
-        let shards = sweep.shards(2);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].indices, vec![0, 2, 4]);
-        assert_eq!(shards[1].indices, vec![1, 3]);
-        assert_eq!(shards[0].spec.name, "shardme.s0");
-        for s in &shards {
-            assert_eq!(s.indices.len(), s.spec.len());
-            for (&orig, job) in s.indices.iter().zip(&s.spec.jobs) {
-                assert_eq!(*job, sweep.jobs[orig], "shard {} job {orig}", s.shard);
-            }
-            // Ordered-merge precondition: indices strictly increase.
-            assert!(s.indices.windows(2).all(|w| w[0] < w[1]));
-        }
-        // Determinism: the same split twice is identical.
-        assert_eq!(shards, sweep.shards(2));
-        // More shards than jobs: empty shards are omitted.
-        assert_eq!(sweep.shards(9).len(), 5);
-        // One shard is the whole sweep.
-        let whole = sweep.shards(1);
-        assert_eq!(whole.len(), 1);
-        assert_eq!(whole[0].spec.jobs, sweep.jobs);
-        assert!(SweepSpec::new("empty").shards(3).is_empty());
-    }
-
-    #[test]
-    fn shards_balance_estimated_cost() {
-        // 1 expensive 16-core integrated job + 3 cheap 2-core baselines:
-        // round-robin (i % 2) would put the expensive job AND the third
-        // cheap job on shard 0; cost balancing sends all cheap jobs to
-        // shard 1.
-        let mut sweep = SweepSpec::new("costly");
-        sweep.push(
-            JobSpec::new(Workload::Fft, 16, 1 << 20)
-                .with_mode(SecurityMode::integrated())
-                .with_ops(10_000),
-        );
-        for _ in 0..3 {
-            sweep.push(JobSpec::new(Workload::Fft, 2, 1 << 20).with_ops(1_000));
-        }
-        let shards = sweep.shards(2);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].indices, vec![0]);
-        assert_eq!(shards[1].indices, vec![1, 2, 3]);
-        // The merge precondition holds regardless of balance.
-        for s in &shards {
-            assert!(s.indices.windows(2).all(|w| w[0] < w[1]));
-            for (&orig, job) in s.indices.iter().zip(&s.spec.jobs) {
-                assert_eq!(*job, sweep.jobs[orig]);
-            }
-        }
-        // Deterministic: same spec, same split.
-        assert_eq!(shards, sweep.shards(2));
-        // Cost weights order the modes as documented.
-        assert!(
-            JobSpec::new(Workload::Fft, 4, 1 << 20)
-                .with_mode(SecurityMode::integrated())
-                .estimated_cost()
-                > JobSpec::new(Workload::Fft, 4, 1 << 20)
-                    .with_mode(SecurityMode::scattered())
-                    .estimated_cost()
-        );
     }
 
     #[test]

@@ -125,33 +125,13 @@ impl Client {
         Ok((reader, response))
     }
 
-    fn submit_with(
-        &self,
-        sweep: &SweepSpec,
-        indices: Option<Vec<u64>>,
-    ) -> Result<(u64, u64), ClientError> {
+    /// Submits a sweep; no retry. Returns `(id, jobs accepted)`.
+    pub fn submit_once(&self, sweep: &SweepSpec) -> Result<(u64, u64), ClientError> {
         let sweep = sweep.clone();
-        match self.call(&Request::Submit { sweep, indices })? {
+        match self.call(&Request::Submit { sweep })? {
             (_, Response::Submitted { id, jobs }) => Ok((id, jobs)),
             (_, other) => Err(unexpected("submitted", &other)),
         }
-    }
-
-    /// Submits a sweep; no retry. Returns `(id, jobs accepted)`.
-    pub fn submit_once(&self, sweep: &SweepSpec) -> Result<(u64, u64), ClientError> {
-        self.submit_with(sweep, None)
-    }
-
-    /// Submits a shard of a larger sweep, tagging each job with its
-    /// position in the original sweep (`indices[i]` for job `i`) so the
-    /// result lines merge back byte-identically. Used by the cluster
-    /// coordinator; no retry.
-    pub fn submit_sharded(
-        &self,
-        sweep: &SweepSpec,
-        indices: &[u64],
-    ) -> Result<(u64, u64), ClientError> {
-        self.submit_with(sweep, Some(indices.to_vec()))
     }
 
     /// Submits a sweep, backing off and retrying (up to the configured

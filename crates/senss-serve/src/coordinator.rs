@@ -1,31 +1,36 @@
-//! The cluster coordinator: shards sweeps across worker processes.
+//! The cluster coordinator: runs each cache miss on a worker process.
 //!
 //! Topology: one coordinator (the process running [`Server`] with a
 //! [`ClusterConfig`]) supervises N worker processes ([`WorkerProc`]),
 //! each an ordinary `senss-serve worker` speaking the NDJSON protocol
-//! on loopback. A submitted sweep is split round-robin into N shards
-//! ([`SweepSpec::shards`]); each shard is submitted to its worker with
-//! the `indices` extension so every result line carries its position in
-//! the *original* sweep, streamed back progressively, and merged in
-//! index order. Determinism end to end: the merged JSONL is
-//! byte-identical to a local [`Harness`](senss_harness::Harness) run of
-//! the same sweep.
+//! on loopback. The coordinator's own [`Harness`] runs every sweep: it
+//! serves cache hits, applies the cycle budget, writes records and
+//! streams lines exactly as a local run does, with one thread per
+//! worker slot whose job runner is `Coordinator::run_job`. That
+//! sends the job to an idle worker as a one-job sweep and decodes the
+//! stats from the worker's result line. Result lines are deterministic,
+//! so a cluster sweep is byte-identical to a local run of it, and the
+//! coordinator's cache file is the only one written.
 //!
-//! Fault model: workers are stateless (their result cache is an
-//! optimization, not state the coordinator depends on), so supervision
-//! is kill-and-respawn. Any error talking to a worker — connect
-//! failure, mid-stream EOF from a crash, a structured error frame —
-//! retires that worker's process and retries the whole shard on a
-//! fresh one, up to [`ClusterConfig::shard_retries`] times. Because
-//! job results are deterministic, a retried shard reproduces the lost
-//! lines exactly.
+//! Fault model: workers are hermetic and stateless, so supervision is
+//! kill-and-respawn. Any error talking to a worker (connect failure,
+//! mid-stream EOF from a crash, a structured error frame) retires that
+//! worker's process and retries the job on a fresh one, up to
+//! [`ClusterConfig::shard_retries`] times. Because jobs are
+//! deterministic, a retried job reproduces the lost line exactly. A job
+//! that still fails, or fails on the worker itself, fails alone, as a
+//! panicking job does in a local run.
 //!
 //! [`Server`]: crate::Server
+//! [`Harness`]: senss_harness::Harness
 
 use crate::client::Client;
 use crate::metrics::Metrics;
+use crate::protocol::parse_result_line;
 use crate::worker::WorkerProc;
-use senss_harness::{json, SweepShard, SweepSpec};
+use senss_harness::{JobSpec, SweepSpec};
+use senss_sim::Stats;
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -33,27 +38,28 @@ use std::time::Duration;
 /// Configuration of the worker cluster behind a coordinator.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of worker processes (= maximum shards per sweep).
+    /// Number of worker processes, and of the coordinator harness's
+    /// threads.
     pub workers: usize,
     /// Program to spawn as a worker — normally the coordinator's own
     /// executable (`std::env::current_exe`); tests point it at
     /// `CARGO_BIN_EXE_senss-serve`.
     pub program: String,
     /// Extra arguments after `worker --addr 127.0.0.1:0`, e.g.
-    /// `--hermetic` or `--quiet`.
+    /// `--quiet`.
     pub worker_args: Vec<String>,
-    /// Retries per shard after the first attempt; each retry respawns
-    /// the shard's worker.
+    /// Retries per job after the first attempt; each retry respawns
+    /// the job's worker.
     pub shard_retries: u32,
     /// Per-call I/O timeout talking to a worker. The result stream
-    /// waits on job completions, so this bounds worker *stall*, not
-    /// sweep duration: size it to the slowest single job.
+    /// waits for the job to finish, so size it to the slowest single
+    /// job.
     pub worker_timeout: Duration,
 }
 
 impl ClusterConfig {
     /// A cluster of `workers` processes spawned from `program`, with
-    /// 2 retries per shard and a 60 s worker-stall timeout.
+    /// 2 retries per job and a 60 s worker-stall timeout.
     pub fn new(workers: usize, program: impl Into<String>) -> ClusterConfig {
         ClusterConfig {
             workers: workers.max(1),
@@ -70,7 +76,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the per-shard retry budget.
+    /// Sets the per-job retry budget.
     pub fn with_shard_retries(mut self, retries: u32) -> ClusterConfig {
         self.shard_retries = retries;
         self
@@ -83,34 +89,25 @@ impl ClusterConfig {
     }
 }
 
-/// One worker slot. `generation` increments on every (re)spawn so a
-/// shard thread that hit an error can tell whether the process it was
-/// talking to has already been replaced by someone else.
+/// One worker slot: its live process, if any, and how many times a
+/// process was spawned for it. Only the job holding the slot spawns or
+/// retires its process.
+#[derive(Default)]
 struct Slot {
     proc_: Option<WorkerProc>,
-    generation: u64,
-    ever_spawned: bool,
-}
-
-/// Merged outcome of a sharded sweep, in original-sweep index order.
-pub(crate) struct ClusterOutcome {
-    /// One slot per job; `None` where the job failed on its worker.
-    pub lines: Vec<Option<String>>,
-    /// Jobs executed across all shards.
-    pub executed: u64,
-    /// Jobs served from worker caches.
-    pub cached: u64,
-    /// Jobs that failed permanently.
-    pub failures: u64,
+    spawns: u64,
 }
 
 /// Supervisor for the worker fleet. Shared by the executor (which runs
-/// sweeps through it) and fault-injection tests (which kill workers
-/// through it); dropping the coordinator kills every worker.
+/// jobs through it) and fault-injection tests (which kill workers
+/// through it); dropping the coordinator drops, and so kills, every
+/// worker.
 pub struct Coordinator {
     cfg: ClusterConfig,
     metrics: Arc<Metrics>,
     slots: Vec<Mutex<Slot>>,
+    /// Slots not running a job, the longest idle first.
+    idle: Mutex<VecDeque<usize>>,
     quiet: bool,
 }
 
@@ -136,15 +133,8 @@ impl Coordinator {
         quiet: bool,
     ) -> std::io::Result<Coordinator> {
         let coordinator = Coordinator {
-            slots: (0..cfg.workers)
-                .map(|_| {
-                    Mutex::new(Slot {
-                        proc_: None,
-                        generation: 0,
-                        ever_spawned: false,
-                    })
-                })
-                .collect(),
+            slots: (0..cfg.workers).map(|_| Mutex::default()).collect(),
+            idle: Mutex::new((0..cfg.workers).collect()),
             cfg,
             metrics,
             quiet,
@@ -167,14 +157,14 @@ impl Coordinator {
     }
 
     /// Ensures slot `slot` has a live worker, spawning one if needed;
-    /// returns its address and generation. The slot lock is released
-    /// before any network I/O happens against the returned address.
-    fn checkout(&self, slot: usize) -> std::io::Result<(String, u64)> {
+    /// returns its address. The slot lock is released before any
+    /// network I/O happens against the returned address.
+    fn checkout(&self, slot: usize) -> std::io::Result<String> {
         let mut s = lock_recover(&self.slots[slot]);
         if s.proc_.is_none() {
             let proc_ = WorkerProc::spawn(&self.cfg.program, &self.cfg.worker_args)?;
-            s.generation += 1;
-            if s.ever_spawned {
+            s.spawns += 1;
+            if s.spawns > 1 {
                 self.metrics
                     .workers_respawned
                     .fetch_add(1, Ordering::Relaxed);
@@ -182,224 +172,123 @@ impl Coordinator {
                     w.respawns.fetch_add(1, Ordering::Relaxed);
                 }
                 self.log(format_args!(
-                    "worker {slot} respawned at {} (generation {})",
+                    "worker {slot} respawned at {} (spawn {})",
                     proc_.addr(),
-                    s.generation
+                    s.spawns
                 ));
             } else {
                 self.log(format_args!("worker {slot} started at {}", proc_.addr()));
             }
-            s.ever_spawned = true;
             s.proc_ = Some(proc_);
         }
-        let addr = s.proc_.as_ref().expect("just ensured").addr().to_string();
-        Ok((addr, s.generation))
+        Ok(s.proc_.as_ref().expect("just ensured").addr().to_string())
     }
 
-    /// Retires slot `slot`'s worker **if** it is still the generation
-    /// the caller was talking to — a concurrent retire-and-respawn must
-    /// not get its fresh worker killed for the old one's failure.
-    fn retire(&self, slot: usize, generation: u64) {
-        let mut s = lock_recover(&self.slots[slot]);
-        if s.generation == generation {
-            if let Some(mut p) = s.proc_.take() {
-                p.kill();
-            }
-        }
+    /// Kills slot `slot`'s worker process, if it has one (dropping a
+    /// [`WorkerProc`] kills it). The next job on the slot respawns it.
+    fn retire(&self, slot: usize) -> bool {
+        lock_recover(&self.slots[slot]).proc_.take().is_some()
     }
 
     /// Fault-injection hook: kills slot `slot`'s worker process
-    /// outright (no generation check — this *is* the failure). The next
-    /// shard touching the slot respawns it.
+    /// outright, even while it runs a job.
     pub fn kill_worker(&self, slot: usize) {
-        let mut s = lock_recover(&self.slots[slot]);
-        if let Some(mut p) = s.proc_.take() {
+        if self.retire(slot) {
             self.log(format_args!("worker {slot} killed (fault injection)"));
-            p.kill();
         }
     }
 
-    /// Runs `sweep` sharded across the fleet. `orig[i]` is job `i`'s
-    /// index in the original client-submitted sweep (identity for a
-    /// direct submit); `on_line(i, line)` fires for each completed job
-    /// as its result line arrives from a worker, feeding the
-    /// coordinator's own progressive streams.
+    /// Runs `job` on an idle worker and returns its stats: the
+    /// coordinator harness's job runner. A transport failure retires
+    /// the worker and retries on a fresh one, up to
+    /// [`ClusterConfig::shard_retries`] times.
     ///
-    /// Returns the merged outcome once every shard has completed, or an
-    /// error if any shard exhausted its retry budget — partial results
-    /// are never reported as success.
-    pub(crate) fn run_sweep(
-        &self,
-        sweep: &SweepSpec,
-        orig: &[u64],
-        on_line: &(dyn Fn(usize, String) + Sync),
-    ) -> std::io::Result<ClusterOutcome> {
-        let shards = sweep.shards(self.slots.len());
+    /// # Panics
+    ///
+    /// Panics, so that the harness reports the job failed, when the
+    /// worker ran the job but produced no result line, or when every
+    /// attempt failed.
+    pub(crate) fn run_job(&self, job: &JobSpec) -> Stats {
+        let slot = IdleSlot::take(self);
         self.metrics
             .shards_dispatched
-            .fetch_add(shards.len() as u64, Ordering::Relaxed);
-        let outcomes: Vec<Result<ShardOutcome, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| scope.spawn(move || self.run_shard(shard, orig, on_line)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err("shard thread panicked".to_string()))
-                })
-                .collect()
-        });
-        let mut merged = ClusterOutcome {
-            lines: vec![None; sweep.len()],
-            executed: 0,
-            cached: 0,
-            failures: 0,
-        };
-        for (shard, outcome) in shards.iter().zip(outcomes) {
-            match outcome {
-                Ok(out) => {
-                    self.metrics
-                        .shards_completed
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(w) = self.metrics.worker(shard.shard) {
-                        w.shards.fetch_add(1, Ordering::Relaxed);
-                        w.jobs.fetch_add(out.lines.len() as u64, Ordering::Relaxed);
-                    }
-                    for (local, line) in out.lines {
-                        merged.lines[local] = Some(line);
-                    }
-                    merged.executed += out.executed;
-                    merged.cached += out.cached;
-                    merged.failures += out.failures;
-                }
-                Err(message) => {
-                    return Err(std::io::Error::other(format!(
-                        "shard {} failed after {} attempt(s): {message}",
-                        shard.shard,
-                        self.cfg.shard_retries + 1
-                    )))
-                }
-            }
-        }
-        Ok(merged)
-    }
-
-    /// Runs one shard with kill-and-respawn retry.
-    fn run_shard(
-        &self,
-        shard: &SweepShard,
-        orig: &[u64],
-        on_line: &(dyn Fn(usize, String) + Sync),
-    ) -> Result<ShardOutcome, String> {
+            .fetch_add(1, Ordering::Relaxed);
+        let mut sweep = SweepSpec::new("");
+        sweep.push(*job);
         let mut last_err = String::from("no attempt made");
         for attempt in 0..=self.cfg.shard_retries {
             if attempt > 0 {
                 self.metrics.shard_retries.fetch_add(1, Ordering::Relaxed);
                 self.log(format_args!(
-                    "shard {} retry {attempt}/{}",
-                    shard.shard, self.cfg.shard_retries
+                    "worker {} retry {attempt}/{}",
+                    slot.0, self.cfg.shard_retries
                 ));
             }
-            let (addr, generation) = match self.checkout(shard.shard) {
-                Ok(x) => x,
+            let addr = match self.checkout(slot.0) {
+                Ok(addr) => addr,
                 Err(e) => {
                     last_err = format!("worker spawn failed: {e}");
                     continue;
                 }
             };
-            match self.shard_attempt(&addr, shard, orig, on_line) {
-                Ok(out) => return Ok(out),
+            match self.attempt(&addr, &sweep) {
+                Ok(Some(stats)) => {
+                    if let Some(w) = self.metrics.worker(slot.0) {
+                        w.jobs.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return stats;
+                }
+                Ok(None) => panic!("job failed on worker {}", slot.0),
+                // Whatever went wrong, the worker is suspect; a fresh
+                // process is cheap and always safe.
                 Err(e) => {
                     last_err = e;
-                    // Whatever went wrong, the worker is suspect; a
-                    // fresh process is cheap and always safe.
-                    self.retire(shard.shard, generation);
+                    self.retire(slot.0);
                 }
             }
         }
-        Err(last_err)
+        panic!(
+            "worker {} failed after {} attempt(s): {last_err}",
+            slot.0,
+            self.cfg.shard_retries + 1
+        )
     }
 
-    /// One attempt of one shard against one worker: submit with
-    /// original indices, stream lines back as they complete, then read
-    /// the final status for the executed/cached/failure accounting.
-    fn shard_attempt(
-        &self,
-        addr: &str,
-        shard: &SweepShard,
-        orig: &[u64],
-        on_line: &(dyn Fn(usize, String) + Sync),
-    ) -> Result<ShardOutcome, String> {
-        let client = Client::new(addr)
-            .with_timeout(self.cfg.worker_timeout)
-            .with_retry(0, Duration::from_millis(0));
-        let indices: Vec<u64> = shard.indices.iter().map(|&i| orig[i]).collect();
+    /// One attempt against one worker: submit the one-job sweep and
+    /// stream its line back. `Ok(None)` means the stream ended without
+    /// a line, i.e. the job itself failed on the worker.
+    fn attempt(&self, addr: &str, sweep: &SweepSpec) -> Result<Option<Stats>, String> {
+        let client = Client::new(addr).with_timeout(self.cfg.worker_timeout);
         let (id, _) = client
-            .submit_sharded(&shard.spec, &indices)
+            .submit_once(sweep)
             .map_err(|e| format!("submit to {addr}: {e}"))?;
-        // Original-sweep index value → position in the full sweep, for
-        // routing streamed lines (which carry original indices) back to
-        // their merge slot.
-        let local_of: std::collections::HashMap<u64, usize> = shard
-            .indices
-            .iter()
-            .enumerate()
-            .map(|(k, &local)| (indices[k], local))
-            .collect();
-        let mut lines: Vec<(usize, String)> = Vec::with_capacity(shard.indices.len());
-        let mut unroutable = 0usize;
+        let mut line = None;
         client
-            .stream_with(id, |line| {
-                let idx = json::parse(line)
-                    .ok()
-                    .and_then(|v| v.get("index").and_then(json::Value::as_u64));
-                match idx.and_then(|i| local_of.get(&i).copied()) {
-                    Some(local) => {
-                        on_line(local, line.to_string());
-                        lines.push((local, line.to_string()));
-                    }
-                    None => unroutable += 1,
-                }
-            })
+            .stream_with(id, |l| line = Some(l.to_string()))
             .map_err(|e| format!("stream from {addr}: {e}"))?;
-        if unroutable > 0 {
-            return Err(format!(
-                "{unroutable} streamed line(s) carried indices outside the shard"
-            ));
-        }
-        let info = client
-            .status(id)
-            .map_err(|e| format!("status from {addr}: {e}"))?;
-        match info.state {
-            crate::protocol::SweepState::Done => Ok(ShardOutcome {
-                lines,
-                executed: info.executed,
-                cached: info.cached,
-                failures: info.failures,
-            }),
-            state => Err(format!(
-                "worker reported state {state:?} after its stream ended"
-            )),
-        }
+        line.map(|l| parse_result_line(&l).map(|r| r.stats))
+            .transpose()
+            .map_err(|e| format!("result line from {addr}: {e}"))
     }
 }
 
-impl Drop for Coordinator {
+/// A worker slot taken off the idle list for one job, and put back at
+/// its end on drop (also when the job panics).
+struct IdleSlot<'a>(usize, &'a Coordinator);
+
+impl<'a> IdleSlot<'a> {
+    /// The coordinator harness runs one thread per slot, so an idle
+    /// slot always exists.
+    fn take(coordinator: &'a Coordinator) -> IdleSlot<'a> {
+        let slot = lock_recover(&coordinator.idle)
+            .pop_front()
+            .expect("one harness thread per worker slot");
+        IdleSlot(slot, coordinator)
+    }
+}
+
+impl Drop for IdleSlot<'_> {
     fn drop(&mut self) {
-        for slot in &self.slots {
-            if let Some(mut p) = lock_recover(slot).proc_.take() {
-                p.kill();
-            }
-        }
+        lock_recover(&self.1.idle).push_back(self.0);
     }
-}
-
-/// One shard's merged contribution: `(full-sweep position, line)`.
-struct ShardOutcome {
-    lines: Vec<(usize, String)>,
-    executed: u64,
-    cached: u64,
-    failures: u64,
 }

@@ -9,21 +9,20 @@
 //! * [`protocol`] — versioned request/response frames (`submit` a
 //!   [`SweepSpec`](senss_harness::SweepSpec), `status`, streamed
 //!   `results` and progressive `stream`, `metrics`, `shutdown`) plus
-//!   the deterministic per-job result-line codec and the `indices`
-//!   sharding extension.
+//!   the deterministic per-job result-line codec.
 //! * [`server`] — a `poll(2)`-based event loop (one thread, every
 //!   connection; see [`sys`]) woken by job completions rather than a
 //!   timer, over a bounded job queue that **rejects
 //!   with a retriable `overloaded` error instead of blocking**;
 //!   idle/stalled-connection reclaim; malformed frames answered, never
 //!   fatal; drain-then-exit shutdown.
-//! * [`coordinator`] / [`worker`] — the cluster tier: a coordinator
-//!   shards each sweep across supervised `senss-serve worker`
-//!   processes with kill-and-respawn retry, merging streamed results
-//!   byte-identically to a local run.
+//! * [`coordinator`] / [`worker`] — the cluster tier: a coordinator's
+//!   harness serves cache hits and runs each miss on an idle,
+//!   hermetic `senss-serve worker` process with kill-and-respawn
+//!   retry, byte-identically to a local run.
 //! * [`metrics`] — lock-free in-process registry (request/error
 //!   counters, executed-vs-cached jobs, queue-depth and
-//!   open-connection gauges, per-worker shard counters, wall-latency
+//!   open-connection gauges, per-worker job counters, wall-latency
 //!   histogram) snapshotted into `metrics` responses.
 //! * [`client`] — a blocking client used by the `senss-serve` CLI, the
 //!   loopback tests, and `senss-bench`'s `SENSS_SERVE` bridge.

@@ -4,8 +4,7 @@
 //! senss-serve serve    [--addr 127.0.0.1:4765] [--queue 32] [--max-conns 4096]
 //!                      [--trace-workers 2] [--workers N] [--shard-retries 2]
 //!                      [--hermetic] [--quiet]
-//! senss-serve worker   [--addr 127.0.0.1:0] [--queue 32] [--stall-ms 0]
-//!                      [--hermetic] [--quiet]
+//! senss-serve worker   [--addr 127.0.0.1:0] [--queue 32] [--stall-ms 0] [--quiet]
 //! senss-serve submit   [--addr ...] [--name s] [--workloads fft,ocean] [--cores 2]
 //!                      [--l2-mb 1] [--modes baseline,senss] [--ops 2000] [--seed 42]
 //!                      [--file sweep.json] [--wait]
@@ -21,13 +20,16 @@
 //! `submit --wait` streams the result lines as the jobs finish, the
 //! same bytes `results` prints once the sweep is done.
 //!
-//! `serve --workers N` runs the process as a cluster coordinator: each
-//! sweep is sharded across N supervised `senss-serve worker` child
-//! processes (spawned from this same executable). `worker` is the
-//! child-process mode: it binds an ephemeral port and prints the bound
-//! address as its first stdout line. The server honours the usual
-//! `HARNESS_*` environment knobs (workers, cache, budget) for sweep
-//! execution; see `docs/serving.md`.
+//! `serve --workers N` runs the process as a cluster coordinator: its
+//! harness serves cache hits and runs each miss on one of N supervised
+//! `senss-serve worker` child processes (spawned from this same
+//! executable). `worker` is the child-process mode: it binds an
+//! ephemeral port, prints the bound address as its first stdout line,
+//! runs jobs hermetically (no cache or records on disk) and exits when
+//! its stdin closes. The server honours the usual `HARNESS_*`
+//! environment knobs (workers, cache, budget) for sweep execution; in
+//! cluster mode `--workers` sets the harness's thread count. See
+//! `docs/serving.md`.
 
 use senss_harness::json::{self, Value};
 use senss_harness::{decode_spec, HarnessConfig, JobSpec, SecurityMode, SweepSpec};
@@ -161,9 +163,6 @@ fn serve(flags: &Flags) -> ! {
             .unwrap_or_else(|e| fail(format_args!("cannot locate own executable: {e}")));
         let mut cluster = ClusterConfig::new(workers, program.to_string_lossy())
             .with_shard_retries(flags.parse_or("shard-retries", 2));
-        if flags.has("hermetic") {
-            cluster = cluster.with_worker_arg("--hermetic");
-        }
         if flags.has("quiet") {
             cluster = cluster.with_worker_arg("--quiet");
         }
@@ -181,9 +180,10 @@ fn serve(flags: &Flags) -> ! {
 
 /// Cluster child-process mode: bind (default an ephemeral port), print
 /// the bound address as the first stdout line — the coordinator's
-/// readiness handshake — then serve until told to shut down.
+/// readiness handshake — then serve hermetically until told to shut
+/// down or until stdin, which the coordinator holds open, reaches EOF.
 fn worker(flags: &Flags) -> ! {
-    let mut cfg = base_config(flags, "127.0.0.1:0");
+    let mut cfg = base_config(flags, "127.0.0.1:0").with_harness(HarnessConfig::hermetic());
     let stall = Duration::from_millis(flags.parse_or("stall-ms", 0u64));
     if !stall.is_zero() {
         // Fault-injection aid: stretch each job's wall time without
@@ -197,6 +197,11 @@ fn worker(flags: &Flags) -> ! {
     let server = Server::start(cfg).unwrap_or_else(|e| fail(format_args!("bind failed: {e}")));
     println!("{}", server.addr());
     let _ = std::io::stdout().flush();
+    let addr = server.addr().to_string();
+    std::thread::spawn(move || {
+        let _ = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink());
+        let _ = Client::new(addr).shutdown();
+    });
     server.join();
     std::process::exit(0);
 }

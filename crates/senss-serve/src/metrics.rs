@@ -116,12 +116,10 @@ pub struct Metrics {
     pub queue_depth_max: AtomicU64,
     /// Open client connections on the event loop (gauge).
     pub connections_open: AtomicU64,
-    /// Shards handed to cluster workers (0 unless running as a
-    /// coordinator).
+    /// Jobs handed to cluster workers, one per dispatch (0 unless
+    /// running as a coordinator).
     pub shards_dispatched: AtomicU64,
-    /// Shards whose results merged back successfully.
-    pub shards_completed: AtomicU64,
-    /// Shards re-dispatched after a worker error or death.
+    /// Jobs re-dispatched after a worker error or death.
     pub shard_retries: AtomicU64,
     /// Worker processes respawned after dying or misbehaving.
     pub workers_respawned: AtomicU64,
@@ -137,9 +135,7 @@ pub struct Metrics {
 /// accumulating into the same slot.
 #[derive(Debug, Default)]
 pub struct WorkerStats {
-    /// Shards this worker slot completed.
-    pub shards: AtomicU64,
-    /// Jobs this worker slot executed or served from its cache.
+    /// Jobs this worker slot ran to a result line.
     pub jobs: AtomicU64,
     /// Times this slot's process was respawned.
     pub respawns: AtomicU64,
@@ -152,8 +148,8 @@ impl Metrics {
     }
 
     /// A zeroed registry with `n` per-worker counter slots, for
-    /// coordinator mode. The snapshot gains `worker_{i}_shards`,
-    /// `worker_{i}_jobs` and `worker_{i}_respawns` fields.
+    /// coordinator mode. The snapshot gains `worker_{i}_jobs` and
+    /// `worker_{i}_respawns` fields.
     pub fn with_workers(n: usize) -> Metrics {
         Metrics {
             workers: (0..n).map(|_| WorkerStats::default()).collect(),
@@ -255,7 +251,6 @@ impl Metrics {
                 "shards_dispatched".to_string(),
                 get(&self.shards_dispatched),
             ),
-            ("shards_completed".to_string(), get(&self.shards_completed)),
             ("shard_retries".to_string(), get(&self.shard_retries)),
             (
                 "workers_respawned".to_string(),
@@ -263,7 +258,6 @@ impl Metrics {
             ),
         ];
         for (i, w) in self.workers.iter().enumerate() {
-            fields.push((format!("worker_{i}_shards"), get(&w.shards)));
             fields.push((format!("worker_{i}_jobs"), get(&w.jobs)));
             fields.push((format!("worker_{i}_respawns"), get(&w.respawns)));
         }
@@ -322,7 +316,7 @@ mod tests {
     #[test]
     fn per_worker_slots_appear_in_the_snapshot() {
         let m = Metrics::with_workers(2);
-        m.worker(0).unwrap().shards.fetch_add(3, Ordering::Relaxed);
+        m.worker(0).unwrap().jobs.fetch_add(3, Ordering::Relaxed);
         m.worker(1).unwrap().jobs.fetch_add(7, Ordering::Relaxed);
         m.worker(1)
             .unwrap()
@@ -330,12 +324,12 @@ mod tests {
             .fetch_add(1, Ordering::Relaxed);
         assert!(m.worker(2).is_none());
         let snap = m.snapshot();
-        assert_eq!(snap.get("worker_0_shards").unwrap().as_u64(), Some(3));
-        assert_eq!(snap.get("worker_0_jobs").unwrap().as_u64(), Some(0));
+        assert_eq!(snap.get("worker_0_jobs").unwrap().as_u64(), Some(3));
+        assert_eq!(snap.get("worker_0_respawns").unwrap().as_u64(), Some(0));
         assert_eq!(snap.get("worker_1_jobs").unwrap().as_u64(), Some(7));
         assert_eq!(snap.get("worker_1_respawns").unwrap().as_u64(), Some(1));
         // Plain registries carry no per-worker fields at all.
-        assert!(Metrics::new().snapshot().get("worker_0_shards").is_none());
+        assert!(Metrics::new().snapshot().get("worker_0_jobs").is_none());
     }
 
     #[test]

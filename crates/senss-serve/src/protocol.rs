@@ -33,12 +33,6 @@
 //! provenance — so the bytes a client receives are identical to a
 //! local [`Harness`](senss_harness::Harness) run of the same spec.
 //!
-//! A `submit` frame may carry an optional `"indices"` array (one u64
-//! per job): the original sweep positions of each job. A coordinator
-//! sharding one sweep across workers uses it so each worker's result
-//! lines carry the *original* indices and merge back byte-identically;
-//! plain clients omit it (indices default to `0..jobs`).
-//!
 //! See `docs/serving.md` for the prose reference.
 
 use senss_harness::json::{self, Value};
@@ -49,24 +43,18 @@ use senss_sim::Stats;
 /// The wire-format version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
 
-/// Longest sweep name a `submit` may carry, in bytes, not counting a
-/// trailing `.s<k>` shard suffix. The name becomes a file name
-/// (`<name>.jsonl` under the records directory), and this leaves room
-/// for the suffix and the extension under any file-system name limit.
+/// Longest sweep name a `submit` may carry, in bytes. The name becomes
+/// a file name (`<name>.jsonl` under the records directory), and this
+/// leaves room for the extension under any file-system name limit.
 const MAX_SWEEP_NAME: usize = 100;
 
 /// Whether `name` may name a sweep: empty (no run-record file), or
 /// `[A-Za-z0-9._-]` not starting with `.` and at most
-/// [`MAX_SWEEP_NAME`] bytes before an optional `.s<k>` suffix (the name
-/// a coordinator forwards shard `k` under). A name is joined onto the
-/// records directory, so anything that could leave it (`/`, `\`, `..`,
-/// an absolute path) is refused.
+/// [`MAX_SWEEP_NAME`] bytes. A name is joined onto the records
+/// directory, so anything that could leave it (`/`, `\`, `..`, an
+/// absolute path) is refused.
 fn valid_sweep_name(name: &str) -> bool {
-    let base = name
-        .rsplit_once(".s")
-        .filter(|(_, k)| k.parse::<u64>().is_ok())
-        .map_or(name, |(base, _)| base);
-    base.len() <= MAX_SWEEP_NAME
+    name.len() <= MAX_SWEEP_NAME
         && !name.starts_with('.')
         && name
             .bytes()
@@ -174,10 +162,6 @@ pub enum Request {
     Submit {
         /// The sweep to run.
         sweep: SweepSpec,
-        /// Original sweep positions of each job, for sharded submits;
-        /// `None` means the identity mapping `0..jobs`. When present,
-        /// must be exactly one index per job.
-        indices: Option<Vec<u64>>,
     },
     /// Query a sweep's state.
     Status {
@@ -234,7 +218,7 @@ impl Request {
             ("type".to_string(), Value::Str(self.kind().to_string())),
         ];
         match self {
-            Request::Submit { sweep, indices } => {
+            Request::Submit { sweep } => {
                 fields.push(("name".to_string(), Value::Str(sweep.name.clone())));
                 fields.push((
                     "jobs".to_string(),
@@ -246,12 +230,6 @@ impl Request {
                             .collect(),
                     ),
                 ));
-                if let Some(indices) = indices {
-                    fields.push((
-                        "indices".to_string(),
-                        Value::Arr(indices.iter().map(|&i| Value::UInt(i)).collect()),
-                    ));
-                }
             }
             Request::Status { id } | Request::Results { id } | Request::Stream { id } => {
                 fields.push(("id".to_string(), Value::UInt(*id)));
@@ -302,7 +280,7 @@ impl Request {
                         ErrorClass::Malformed,
                         format!(
                             "sweep name must be [A-Za-z0-9._-], not start with '.', \
-                             and have at most {MAX_SWEEP_NAME} bytes before a shard suffix"
+                             and have at most {MAX_SWEEP_NAME} bytes"
                         ),
                     ));
                 }
@@ -320,38 +298,8 @@ impl Request {
                         ))
                     })
                     .collect::<Result<_, _>>()?;
-                let indices = match v.get("indices") {
-                    None => None,
-                    Some(arr) => {
-                        let arr = arr.as_arr().ok_or((
-                            ErrorClass::Malformed,
-                            "indices must be an array".to_string(),
-                        ))?;
-                        let indices: Vec<u64> = arr
-                            .iter()
-                            .map(|i| {
-                                i.as_u64().ok_or((
-                                    ErrorClass::Malformed,
-                                    "indices must be unsigned integers".to_string(),
-                                ))
-                            })
-                            .collect::<Result<_, _>>()?;
-                        if indices.len() != jobs.len() {
-                            return Err((
-                                ErrorClass::Malformed,
-                                format!(
-                                    "indices count {} does not match job count {}",
-                                    indices.len(),
-                                    jobs.len()
-                                ),
-                            ));
-                        }
-                        Some(indices)
-                    }
-                };
                 Ok(Request::Submit {
                     sweep: SweepSpec { name, jobs },
-                    indices,
                 })
             }
             "status" => Ok(Request::Status { id: id()? }),
@@ -629,17 +577,9 @@ impl Response {
 /// provenance — so a sweep's result lines are byte-identical whether it
 /// ran remotely, locally, single-threaded, or from a warm cache.
 pub fn result_line(rec: &RunRecord) -> String {
-    result_line_indexed(rec, rec.index as u64)
-}
-
-/// [`result_line`] with the `index` field overridden. A worker running
-/// one shard of a larger sweep emits lines carrying the job's position
-/// in the **original** sweep (from the submit frame's `indices`), so a
-/// coordinator's ordered merge is byte-identical to an unsharded run.
-pub fn result_line_indexed(rec: &RunRecord, index: u64) -> String {
     let mut fields = vec![
         ("type".to_string(), Value::Str("record".to_string())),
-        ("index".to_string(), Value::UInt(index)),
+        ("index".to_string(), Value::UInt(rec.index as u64)),
         ("key".to_string(), Value::Str(rec.key.clone())),
     ];
     fields.extend(encode_spec(&rec.spec));
@@ -695,15 +635,6 @@ mod tests {
         let reqs = [
             Request::Submit {
                 sweep: sample_sweep(),
-                indices: None,
-            },
-            Request::Submit {
-                sweep: sample_sweep(),
-                indices: Some(
-                    (0..sample_sweep().jobs.len() as u64)
-                        .map(|i| i * 3)
-                        .collect(),
-                ),
             },
             Request::Status { id: 3 },
             Request::Results { id: u64::MAX },
@@ -720,9 +651,7 @@ mod tests {
 
     #[test]
     fn sweep_names_stay_inside_the_records_directory() {
-        // A coordinator forwards shard k of a longest name as `<name>.s<k>`.
         let longest = "n".repeat(MAX_SWEEP_NAME);
-        let longest_shard = format!("{longest}.s12");
         for ok in [
             "",
             "cli",
@@ -732,19 +661,14 @@ mod tests {
             "fig06",
             "hw_overhead",
             longest.as_str(),
-            longest_shard.as_str(),
         ] {
             assert!(valid_sweep_name(ok), "{ok:?} must pass");
             let mut sweep = sample_sweep();
             sweep.name = ok.to_string();
-            let req = Request::Submit {
-                sweep,
-                indices: None,
-            };
+            let req = Request::Submit { sweep };
             assert_eq!(Request::decode(&req.encode()), Ok(req));
         }
         let too_long = "n".repeat(MAX_SWEEP_NAME + 1);
-        let too_long_shard = format!("{too_long}.s0");
         for bad in [
             "../a",
             "..",
@@ -755,35 +679,14 @@ mod tests {
             "a\0b",
             "a b",
             too_long.as_str(),
-            too_long_shard.as_str(),
         ] {
             assert!(!valid_sweep_name(bad), "{bad:?} must be refused");
             let mut sweep = sample_sweep();
             sweep.name = bad.to_string();
-            let err = Request::decode(
-                &Request::Submit {
-                    sweep,
-                    indices: None,
-                }
-                .encode(),
-            )
-            .unwrap_err();
+            let err = Request::decode(&Request::Submit { sweep }.encode()).unwrap_err();
             assert_eq!(err.0, ErrorClass::Malformed, "{bad:?}");
             assert!(err.1.contains("sweep name"), "{}", err.1);
         }
-    }
-
-    #[test]
-    fn submit_indices_must_match_job_count() {
-        let sweep = sample_sweep();
-        let encoded = Request::Submit {
-            sweep: sweep.clone(),
-            indices: Some((0..sweep.jobs.len() as u64 - 1).collect()),
-        }
-        .encode();
-        let err = Request::decode(&encoded).unwrap_err();
-        assert_eq!(err.0, ErrorClass::Malformed);
-        assert!(err.1.contains("indices"), "{}", err.1);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! — an idle connection costs one pollfd and two buffers, not a
 //! thread, so thousands of idle clients are cheap. Beside it run one
 //! executor thread draining a **bounded** sweep queue through the
-//! [`Harness`] (or through a [`Coordinator`] sharding sweeps across
-//! worker processes), and a small fixed pool of trace threads so
+//! [`Harness`] (in cluster mode, one whose jobs run on worker processes
+//! through a [`Coordinator`]), and a small fixed pool of trace threads so
 //! `trace` re-simulations never stall the event loop.
 //!
 //! The loop never ticks: a byte on its wake socket reports each
@@ -43,7 +43,7 @@ use crate::coordinator::{ClusterConfig, Coordinator};
 use crate::metrics::Metrics;
 use crate::protocol::{ErrorClass, Request, Response, StatusInfo, SweepState};
 use crate::sys::{self, PollFd};
-use senss_harness::{Harness, HarnessConfig, JobSpec, RunRecord, SweepSpec};
+use senss_harness::{Harness, HarnessConfig, JobSpec, RunRecord, SweepResult, SweepSpec};
 use senss_sim::Stats;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -88,12 +88,13 @@ pub struct ServerConfig {
     /// Threads serving `trace` re-simulations (they are CPU-bound and
     /// must never run on the event loop).
     pub trace_workers: usize,
-    /// Harness configuration for sweep execution.
+    /// Harness configuration for sweep execution. In cluster mode its
+    /// thread count is the cluster's worker count.
     pub harness: HarnessConfig,
     /// Test hook: replaces [`JobSpec::run`].
     pub runner: Option<JobRunner>,
-    /// Run as a coordinator: shard each sweep across this many worker
-    /// processes instead of executing locally.
+    /// Run as a coordinator: execute each cache miss on one of these
+    /// worker processes instead of locally.
     pub cluster: Option<ClusterConfig>,
     /// Suppress stderr logging.
     pub quiet: bool,
@@ -181,16 +182,12 @@ impl ServerConfig {
 
 /// Per-job result lines as they become available: `None` until the job
 /// completes (or forever, if it fails permanently). Indexed by the
-/// job's position in the submitted sweep; the stored line carries the
-/// *original* index when the submit frame supplied one.
+/// job's position in the submitted sweep.
 type PartialLines = Arc<Mutex<Vec<Option<String>>>>;
 
 enum EntryState {
     Queued {
         sweep: SweepSpec,
-        /// Original-sweep index per job (`None` = identity), from the
-        /// submit frame's `indices` extension.
-        orig: Option<Vec<u64>>,
     },
     Running {
         partial: PartialLines,
@@ -341,7 +338,10 @@ impl Server {
         }
         {
             let shared = Arc::clone(&shared);
-            let harness = Harness::new(cfg.harness.clone());
+            let harness = Harness::new(match &cfg.cluster {
+                Some(cluster) => cfg.harness.clone().with_workers(cluster.workers),
+                None => cfg.harness.clone(),
+            });
             let coordinator = coordinator.clone();
             threads.push(std::thread::spawn(move || {
                 executor_loop(&shared, &harness, coordinator.as_deref())
@@ -884,8 +884,8 @@ fn process_frames(conn: &mut Conn, token: u64, shared: &Shared, trace_tx: &Sende
         };
         shared.metrics.record_request(request.kind());
         match request {
-            Request::Submit { sweep, indices } => {
-                let response = submit(sweep, indices, shared);
+            Request::Submit { sweep } => {
+                let response = submit(sweep, shared);
                 conn.push_response(shared, &response);
             }
             Request::Status { id } => {
@@ -1041,7 +1041,7 @@ fn pump_stream(conn: &mut Conn, shared: &Shared) {
 // Request handlers
 // ---------------------------------------------------------------------------
 
-fn submit(sweep: SweepSpec, orig: Option<Vec<u64>>, shared: &Shared) -> Response {
+fn submit(sweep: SweepSpec, shared: &Shared) -> Response {
     if shared.shutdown.load(Ordering::SeqCst) {
         return Response::error(ErrorClass::ShuttingDown, "server is draining");
     }
@@ -1063,7 +1063,7 @@ fn submit(sweep: SweepSpec, orig: Option<Vec<u64>>, shared: &Shared) -> Response
         id,
         Entry {
             jobs,
-            state: EntryState::Queued { sweep, orig },
+            state: EntryState::Queued { sweep },
         },
     );
     table.queue.push_back(id);
@@ -1234,7 +1234,7 @@ fn trace(id: u64, index: u64, shared: &Shared) -> Result<Response, Response> {
 
 fn executor_loop(shared: &Shared, harness: &Harness, coordinator: Option<&Coordinator>) {
     loop {
-        let (id, sweep, orig, partial) = {
+        let (id, sweep, partial) = {
             let mut table = lock_recover(&shared.table);
             loop {
                 if let Some(id) = table.queue.pop_front() {
@@ -1255,10 +1255,10 @@ fn executor_loop(shared: &Shared, harness: &Harness, coordinator: Option<&Coordi
                                     partial: Arc::clone(&partial),
                                 },
                             );
-                            let EntryState::Queued { sweep, orig } = state else {
+                            let EntryState::Queued { sweep } = state else {
                                 unreachable!("state was just matched as Queued");
                             };
-                            break (id, sweep, orig, partial);
+                            break (id, sweep, partial);
                         }
                         Some(_) => shared.log(format_args!(
                             "sweep {id} was queued but not in Queued state; skipping"
@@ -1282,10 +1282,11 @@ fn executor_loop(shared: &Shared, harness: &Harness, coordinator: Option<&Coordi
             }
         };
         shared.metrics.queue_popped();
-        // Original-sweep index of each job: identity unless the submit
-        // carried the sharding extension.
-        let orig_of = move |i: usize| -> u64 { orig.as_ref().map_or(i as u64, |v| v[i]) };
-        let outcome = run_sweep(shared, harness, coordinator, &sweep, &orig_of, &partial);
+        let outcome = run_sweep(shared, harness, coordinator, &sweep, &partial);
+        // The observer has filled every successful slot; snapshot it as
+        // the final line set so `results` serves exactly the streamed
+        // bytes.
+        let lines = Arc::new(lock_recover(&partial).clone());
         let mut table = lock_recover(&shared.table);
         let Some(entry) = table.entries.get_mut(&id) else {
             shared.log(format_args!(
@@ -1295,19 +1296,22 @@ fn executor_loop(shared: &Shared, harness: &Harness, coordinator: Option<&Coordi
         };
         match outcome {
             Ok(done) => {
+                let (executed, cached) = (done.executed as u64, done.cached as u64);
+                let failures = done.failures.len() as u64;
                 let m = &shared.metrics;
-                m.jobs_executed.fetch_add(done.executed, Ordering::Relaxed);
-                m.jobs_cached.fetch_add(done.cached, Ordering::Relaxed);
-                m.jobs_failed.fetch_add(done.failures, Ordering::Relaxed);
-                m.jobs_forked.fetch_add(done.forked, Ordering::Relaxed);
+                m.jobs_executed.fetch_add(executed, Ordering::Relaxed);
+                m.jobs_cached.fetch_add(cached, Ordering::Relaxed);
+                m.jobs_failed.fetch_add(failures, Ordering::Relaxed);
+                m.jobs_forked
+                    .fetch_add(done.forked as u64, Ordering::Relaxed);
                 m.cache_lines_skipped
-                    .fetch_add(done.cache_skipped, Ordering::Relaxed);
+                    .fetch_add(done.cache_skipped as u64, Ordering::Relaxed);
                 m.sweeps_completed.fetch_add(1, Ordering::Relaxed);
                 entry.state = EntryState::Done {
-                    lines: done.lines,
-                    executed: done.executed,
-                    cached: done.cached,
-                    failures: done.failures,
+                    lines,
+                    executed,
+                    cached,
+                    failures,
                 };
             }
             Err(e) => {
@@ -1322,63 +1326,26 @@ fn executor_loop(shared: &Shared, harness: &Harness, coordinator: Option<&Coordi
     }
 }
 
-struct SweepDone {
-    lines: Arc<Vec<Option<String>>>,
-    executed: u64,
-    cached: u64,
-    failures: u64,
-    forked: u64,
-    cache_skipped: u64,
-}
-
-/// Executes one sweep — locally through the harness, or sharded across
-/// the cluster — filling `partial` with encoded result lines as jobs
-/// complete and waking the event loop, so attached streams ship them
-/// immediately.
+/// Executes one sweep through the harness, whose jobs run locally or,
+/// in cluster mode, on the workers, filling `partial` with encoded
+/// result lines as jobs complete and waking the event loop, so attached
+/// streams ship them immediately.
 fn run_sweep(
     shared: &Shared,
     harness: &Harness,
     coordinator: Option<&Coordinator>,
     sweep: &SweepSpec,
-    orig_index: &(dyn Fn(usize) -> u64 + Sync),
     partial: &PartialLines,
-) -> std::io::Result<SweepDone> {
-    if let Some(coordinator) = coordinator {
-        let orig: Vec<u64> = (0..sweep.len()).map(orig_index).collect();
-        let on_line = |local: usize, line: String| {
-            lock_recover(partial)[local] = Some(line);
-            shared.wake();
-        };
-        let outcome = coordinator.run_sweep(sweep, &orig, &on_line)?;
-        return Ok(SweepDone {
-            lines: Arc::new(outcome.lines),
-            executed: outcome.executed,
-            cached: outcome.cached,
-            failures: outcome.failures,
-            forked: 0,
-            cache_skipped: 0,
-        });
-    }
+) -> std::io::Result<SweepResult> {
     let observe = |rec: &RunRecord| {
-        let line = crate::protocol::result_line_indexed(rec, orig_index(rec.index));
-        lock_recover(partial)[rec.index] = Some(line);
+        lock_recover(partial)[rec.index] = Some(crate::protocol::result_line(rec));
         shared.wake();
     };
-    let result = match &shared.cfg.runner {
-        Some(r) => harness.run_with_observed(sweep, |j| r(j), observe),
-        None => harness.run_observed(sweep, observe),
-    }?;
-    // The observer has filled every successful slot; snapshot it as the
-    // final line set so `results` serves exactly the streamed bytes.
-    let lines = Arc::new(lock_recover(partial).clone());
-    Ok(SweepDone {
-        lines,
-        executed: result.executed as u64,
-        cached: result.cached as u64,
-        failures: result.failures.len() as u64,
-        forked: result.forked as u64,
-        cache_skipped: result.cache_skipped as u64,
-    })
+    match (coordinator, &shared.cfg.runner) {
+        (Some(c), _) => harness.run_with_observed(sweep, |j| c.run_job(j), observe),
+        (None, Some(r)) => harness.run_with_observed(sweep, |j| r(j), observe),
+        (None, None) => harness.run_observed(sweep, observe),
+    }
 }
 
 #[cfg(test)]

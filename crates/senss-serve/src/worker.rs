@@ -6,18 +6,26 @@
 //! handshake), and then speaks the ordinary NDJSON protocol. The
 //! coordinator spawns one per slot, talks to it with the plain
 //! [`Client`](crate::Client), and kills/respawns it on any error —
-//! workers hold no durable state beyond their result cache, so
-//! replacing one is always safe.
+//! workers are hermetic and hold no state, so replacing one is always
+//! safe.
+//!
+//! A worker's stdin is a pipe from its coordinator, which never writes
+//! to it. The worker drains and exits when it reads end-of-file, so it
+//! cannot outlive a coordinator that was killed before it could kill
+//! its workers.
 
 use std::io::{BufRead, BufReader, Read};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdin, Command, Stdio};
 
-/// A supervised worker process: the child handle plus the address it
-/// reported on startup. Dropping the handle kills the process — a
-/// coordinator that goes away must not leak simulator processes.
+/// A supervised worker process: the child handle, the write end of its
+/// stdin, and the address it reported on startup. Dropping the handle
+/// kills the process — a coordinator that goes away must not leak
+/// simulator processes — and the stdin pipe closes with the
+/// coordinator process however that ends.
 #[derive(Debug)]
 pub struct WorkerProc {
     child: Child,
+    _stdin: ChildStdin,
     addr: String,
 }
 
@@ -33,9 +41,10 @@ impl WorkerProc {
             .arg("worker")
             .args(["--addr", "127.0.0.1:0"])
             .args(extra_args)
-            .stdin(Stdio::null())
+            .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()?;
+        let stdin = child.stdin.take().expect("stdin was piped");
         let stdout = child.stdout.take().expect("stdout was piped");
         let addr = match read_ready_line(stdout) {
             Ok(addr) => addr,
@@ -45,7 +54,11 @@ impl WorkerProc {
                 return Err(e);
             }
         };
-        Ok(WorkerProc { child, addr })
+        Ok(WorkerProc {
+            child,
+            _stdin: stdin,
+            addr,
+        })
     }
 
     /// The address the worker reported listening on.

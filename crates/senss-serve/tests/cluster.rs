@@ -1,12 +1,14 @@
-//! Cluster-tier integration tests: a coordinator sharding sweeps across
-//! real `senss-serve worker` child processes (spawned from the built
-//! binary via `CARGO_BIN_EXE_senss-serve`).
+//! Cluster-tier integration tests: a coordinator running each job of a
+//! sweep on real `senss-serve worker` child processes (spawned from the
+//! built binary via `CARGO_BIN_EXE_senss-serve`).
 //!
-//! The acceptance bar is byte-identity: a sweep sharded across ≥2
-//! workers must merge to exactly the JSONL a local [`Harness`] run
-//! produces — including after a worker is killed mid-sweep and its
-//! shard is retried on a respawned process. Plus the event-loop
-//! capacity bar: ≥512 idle connections served concurrently.
+//! The acceptance bar is byte-identity: a sweep spread across ≥2
+//! workers must produce exactly the JSONL a local [`Harness`] run
+//! produces — including after a worker is killed mid-sweep and its job
+//! is retried on a respawned process. The coordinator's own harness
+//! owns the cache and the cycle budget. Workers exit when their
+//! coordinator goes away. Plus the event-loop capacity bar: ≥512 idle
+//! connections served concurrently.
 
 use senss_harness::json;
 use senss_harness::{Harness, HarnessConfig, SecurityMode, SweepSpec};
@@ -14,6 +16,7 @@ use senss_serve::{Client, ClusterConfig, Server, ServerConfig, SweepState};
 use senss_workloads::Workload;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// The compiled `senss-serve` binary, used as the worker program.
@@ -46,7 +49,6 @@ fn direct_result_lines(sweep: &SweepSpec) -> Vec<String> {
 
 fn cluster_config(stall_ms: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(2, WORKER_BIN)
-        .with_worker_arg("--hermetic")
         .with_worker_arg("--quiet")
         .with_worker_timeout(Duration::from_secs(120));
     if stall_ms > 0 {
@@ -98,12 +100,11 @@ fn sharded_sweep_is_byte_identical_to_a_local_run() {
     let via_cluster = client.results_raw(id).expect("results");
     assert_eq!(via_cluster, direct_result_lines(&sweep));
 
-    // Both workers carried a shard, and the merge saw all of them.
-    assert_eq!(metric(&server, "shards_dispatched"), 2);
-    assert_eq!(metric(&server, "shards_completed"), 2);
+    // Every job was dispatched once, and both workers ran some.
+    assert_eq!(metric(&server, "shards_dispatched"), sweep.len() as u64);
     assert_eq!(metric(&server, "shard_retries"), 0);
-    assert_eq!(metric(&server, "worker_0_shards"), 1);
-    assert_eq!(metric(&server, "worker_1_shards"), 1);
+    assert!(metric(&server, "worker_0_jobs") >= 1);
+    assert!(metric(&server, "worker_1_jobs") >= 1);
     assert_eq!(
         metric(&server, "worker_0_jobs") + metric(&server, "worker_1_jobs"),
         sweep.len() as u64
@@ -170,8 +171,88 @@ fn killed_worker_mid_sweep_retries_the_shard_byte_identically() {
         "kill must cost a retry"
     );
     assert!(metric(&server, "workers_respawned") >= 1);
-    assert_eq!(metric(&server, "shards_completed"), 2);
+    assert_eq!(metric(&server, "shards_dispatched"), sweep.len() as u64);
     server.shutdown();
+}
+
+#[test]
+fn the_coordinator_owns_the_result_cache() {
+    let dir = std::env::temp_dir().join(format!("senss-cluster-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig::loopback()
+        .with_harness(HarnessConfig::hermetic().with_cache_dir(&dir))
+        .with_cluster(cluster_config(0));
+    let server = Server::start(cfg).expect("coordinator start");
+    let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(120));
+
+    let sweep = cluster_sweep("owned", 5);
+    let jobs = sweep.len() as u64;
+    let (id, _) = client.submit(&sweep).expect("first submit");
+    let first = client.stream_raw(id).expect("first stream");
+    assert_eq!(metric(&server, "shards_dispatched"), jobs);
+
+    // The second submit is served from the coordinator's cache: no job
+    // reaches a worker, and not a byte of the result stream changes.
+    let (id, _) = client.submit(&sweep).expect("second submit");
+    let second = client.stream_raw(id).expect("second stream");
+    assert_eq!(second, first);
+    assert_eq!(first, direct_result_lines(&sweep));
+    assert_eq!(metric(&server, "shards_dispatched"), jobs);
+    assert_eq!(metric(&server, "jobs_cached"), jobs);
+    server.shutdown();
+
+    // One writer: the coordinator's cache holds one line per job.
+    let cache = std::fs::read_to_string(dir.join(senss_harness::cache::CACHE_FILE))
+        .expect("coordinator cache file");
+    assert_eq!(cache.lines().count() as u64, jobs);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_coordinator_applies_its_cycle_budget() {
+    let cfg = ServerConfig::loopback()
+        .with_harness(HarnessConfig::hermetic().with_cycle_budget(1))
+        .with_cluster(cluster_config(0));
+    let server = Server::start(cfg).expect("coordinator start");
+    let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(120));
+
+    let sweep = cluster_sweep("budget", 3);
+    let (id, _) = client.submit(&sweep).expect("submit");
+    assert!(client.stream_raw(id).expect("stream").is_empty());
+    let info = client.status(id).expect("status");
+    assert_eq!(info.state, SweepState::Done);
+    assert_eq!(info.failures, sweep.len() as u64);
+    assert_eq!(metric(&server, "jobs_failed"), sweep.len() as u64);
+    server.shutdown();
+}
+
+#[test]
+fn a_worker_exits_when_its_stdin_closes() {
+    let mut child = Command::new(WORKER_BIN)
+        .args(["worker", "--quiet"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn worker");
+    let mut addr = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut addr)
+        .expect("handshake line");
+    assert!(
+        addr.trim().parse::<std::net::SocketAddr>().is_ok(),
+        "{addr:?}"
+    );
+    // The coordinator holding the other end is gone.
+    drop(child.stdin.take());
+    let start = Instant::now();
+    while child.try_wait().expect("try_wait").is_none() {
+        if start.elapsed() > Duration::from_secs(10) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("worker outlived its stdin by 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 #[test]

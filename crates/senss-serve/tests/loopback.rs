@@ -261,11 +261,7 @@ fn sweep_names_that_leave_the_records_directory_are_malformed() {
     for name in ["/tmp/escape", "../../escape", "a/b"] {
         let mut sweep = small_sweep("", 1);
         sweep.name = name.to_string();
-        let frame = Request::Submit {
-            sweep,
-            indices: None,
-        }
-        .encode();
+        let frame = Request::Submit { sweep }.encode();
         match exchange(&frame) {
             Response::Error {
                 class, retriable, ..
@@ -616,46 +612,6 @@ fn stream_attached_mid_run_is_byte_identical_to_results() {
             .and_then(senss_harness::json::Value::as_u64),
         Some(1)
     );
-    server.shutdown();
-}
-
-#[test]
-fn sharded_submit_tags_result_lines_with_original_indices() {
-    let server = Server::start(ServerConfig::loopback()).unwrap();
-    let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(30));
-
-    let sweep = small_sweep("tagged", 19);
-    let indices = [12u64, 9, 4, 30];
-    let (id, jobs) = client.submit_sharded(&sweep, &indices).expect("submit");
-    assert_eq!(jobs, 4);
-    let lines = loop {
-        match client.results_raw(id) {
-            Ok(lines) => break lines,
-            Err(ClientError::Server {
-                class: ErrorClass::NotReady,
-                ..
-            }) => std::thread::sleep(Duration::from_millis(20)),
-            Err(e) => panic!("results: {e}"),
-        }
-    };
-    // Lines come back in submitted-job order but each carries the
-    // caller's original index — the merge contract coordinators rely on.
-    assert_eq!(lines.len(), 4);
-    for (line, want) in lines.iter().zip(indices) {
-        let got = senss_harness::json::parse(line)
-            .ok()
-            .and_then(|v| v.get("index").and_then(senss_harness::json::Value::as_u64));
-        assert_eq!(got, Some(want), "line: {line}");
-    }
-
-    // An indices array that disagrees with the job count is malformed.
-    match client.submit_sharded(&sweep, &indices[..3]) {
-        Err(ClientError::Server {
-            class: ErrorClass::Malformed,
-            ..
-        }) => {}
-        other => panic!("short indices must be rejected, got {other:?}"),
-    }
     server.shutdown();
 }
 

@@ -39,11 +39,10 @@ pub fn execute(sweep: &SweepSpec) -> SweepResult {
     eprintln!("{}", result.summary());
     for f in &result.failures {
         eprintln!(
-            "harness[{}]: job {} ({}) failed after {} attempt(s): {}",
+            "harness[{}]: job {} ({}) failed: {}",
             result.name,
             f.index,
             f.spec.trace.tag(),
-            f.attempts,
             f.error
         );
     }
@@ -81,7 +80,6 @@ fn execute_remote(sweep: &SweepSpec, addr: &str) -> SweepResult {
             stats: r.stats,
             wall_micros: 0,
             worker: None,
-            attempts: 0,
             cached: false,
         })
         .collect();

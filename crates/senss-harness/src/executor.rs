@@ -183,9 +183,6 @@ pub struct JobFailure {
     pub spec: JobSpec,
     /// Final error.
     pub error: JobError,
-    /// Attempts consumed: always 1, since every job runs once. Kept so
-    /// failure reports and [`RunRecord::attempts`] share one shape.
-    pub attempts: u32,
 }
 
 /// The outcome of running a sweep.
@@ -448,7 +445,6 @@ impl Harness {
                         stats: stats.clone(),
                         wall_micros: 0,
                         worker: None,
-                        attempts: 0,
                         cached: true,
                     };
                     on_record(&record);
@@ -537,7 +533,6 @@ impl Harness {
                                 stats,
                                 wall_micros,
                                 worker: Some(worker),
-                                attempts: 1,
                                 cached: false,
                             };
                             on_record(&record);
@@ -751,11 +746,12 @@ fn finished(
         index,
         spec: *spec,
         error,
-        attempts: 1,
     })
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The text of a caught panic's payload: the `&str` or `String` it
+/// carries, or a placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -785,7 +781,6 @@ mod tests {
             },
             wall_micros: 0,
             worker: None,
-            attempts: 0,
             cached,
         };
         // Out of order on purpose: from_records must re-sort by index.

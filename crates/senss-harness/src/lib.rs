@@ -20,7 +20,7 @@
 //!   configs that changed.
 //! * [`record`] — structured [`RunRecord`] output (one JSONL line per
 //!   job under `results/records/`) carrying the full `Stats` plus wall
-//!   time, worker id, attempt count and cache provenance.
+//!   time, worker id and cache provenance.
 //!
 //! See `docs/harness.md` for the user-facing guide.
 

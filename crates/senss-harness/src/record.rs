@@ -2,7 +2,7 @@
 //!
 //! Every executed (or cache-served) job produces a [`RunRecord`]
 //! carrying the full [`Stats`] struct plus execution metadata (wall
-//! time, worker id, attempts, cache provenance). Records serialize one
+//! time, worker id, cache provenance). Records serialize one
 //! per line to `results/records/<sweep>.jsonl`; the same `Stats`
 //! encoding backs the result cache.
 
@@ -143,8 +143,6 @@ pub struct RunRecord {
     pub wall_micros: u64,
     /// Executor worker that ran the job (`None` for cache hits).
     pub worker: Option<usize>,
-    /// Attempts consumed: 1 for an executed job, 0 for a cache hit.
-    pub attempts: u32,
     /// Whether the result was served from the cache.
     pub cached: bool,
 }
@@ -166,7 +164,6 @@ impl RunRecord {
                     None => Value::Str("cache".into()),
                 },
             ),
-            ("attempts".to_string(), Value::UInt(self.attempts as u64)),
             ("cached".to_string(), Value::Bool(self.cached)),
         ]);
         fields.push(("stats".to_string(), encode_stats(&self.stats)));
@@ -183,7 +180,6 @@ impl RunRecord {
             stats: decode_stats(obj.get("stats")?)?,
             wall_micros: obj.get("wall_micros")?.as_u64()?,
             worker: obj.get("worker")?.as_u64().map(|w| w as usize),
-            attempts: obj.get("attempts")?.as_u64()? as u32,
             cached: matches!(obj.get("cached")?, Value::Bool(true)),
         })
     }
@@ -257,7 +253,6 @@ mod tests {
             stats: sample_stats(),
             wall_micros: 1234,
             worker: Some(1),
-            attempts: 1,
             cached: false,
         };
         let parsed = json::parse(&rec.encode()).unwrap();
@@ -290,7 +285,6 @@ mod tests {
                 stats: sample_stats(),
                 wall_micros: 55,
                 worker,
-                attempts: 2,
                 cached: worker.is_none(),
             };
             let parsed = json::parse(&rec.encode()).unwrap();

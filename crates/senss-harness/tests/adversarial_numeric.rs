@@ -84,7 +84,6 @@ fn poisoned_record_lines_are_rejected_not_mangled() {
         },
         wall_micros: 9,
         worker: Some(0),
-        attempts: 1,
         cached: false,
     };
     let line = rec.encode();

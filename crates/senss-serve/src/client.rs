@@ -106,23 +106,18 @@ impl Client {
         Ok((BufReader::new(stream.try_clone()?), BufWriter::new(stream)))
     }
 
-    fn read_response(reader: &mut BufReader<TcpStream>) -> Result<Response, ClientError> {
+    /// Sends one request and reads the first response frame.
+    fn call(&self, request: &Request) -> Result<(BufReader<TcpStream>, Response), ClientError> {
+        let (mut reader, mut writer) = self.connect()?;
+        writeln!(writer, "{}", request.encode())?;
+        writer.flush()?;
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
             return Err(ClientError::Protocol(
                 "server closed the connection mid-exchange".to_string(),
             ));
         }
-        decode(line.trim())
-    }
-
-    /// Sends one request and reads the first response frame.
-    fn call(&self, request: &Request) -> Result<(BufReader<TcpStream>, Response), ClientError> {
-        let (mut reader, mut writer) = self.connect()?;
-        writeln!(writer, "{}", request.encode())?;
-        writer.flush()?;
-        let response = Self::read_response(&mut reader)?;
-        Ok((reader, response))
+        Ok((reader, decode(line.trim())?))
     }
 
     /// Submits a sweep; no retry. Returns `(id, jobs accepted)`.
@@ -164,41 +159,14 @@ impl Client {
         }
     }
 
-    /// Streams a finished sweep's raw result lines (exactly the bytes
-    /// the server sent, minus newlines).
-    pub fn results_raw(&self, id: u64) -> Result<Vec<String>, ClientError> {
-        let (mut reader, header) = self.call(&Request::Results { id })?;
-        let count = match header {
-            Response::ResultsHeader { count, .. } => count,
-            other => return Err(unexpected("results", &other)),
-        };
-        // `count` comes from the peer: grow as lines arrive instead of
-        // trusting it for an allocation.
-        let mut lines = Vec::new();
-        for _ in 0..count {
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(ClientError::Protocol(
-                    "result stream ended before the promised count".to_string(),
-                ));
-            }
-            lines.push(line.trim_end_matches(['\r', '\n']).to_string());
-        }
-        match Self::read_response(&mut reader)? {
-            Response::End { count: n, .. } if n == count => Ok(lines),
-            other => Err(unexpected("end", &other)),
-        }
-    }
-
     /// Streams a sweep's result lines progressively, invoking
     /// `on_line` for each record line as the server ships it — in index
     /// order, while the sweep is still running. Blocks until the
     /// server's `end` trailer; returns the number of lines delivered.
     ///
-    /// Unlike [`results`](Client::results), the sweep may be queued or
-    /// running when the stream is opened; the connection then waits on
-    /// job completions, so size the client timeout to the sweep, not to
-    /// one round-trip.
+    /// The sweep may be queued, running or done when the stream is
+    /// opened; the connection waits on job completions, so size the
+    /// client timeout to the sweep, not to one round-trip.
     pub fn stream_with(&self, id: u64, mut on_line: impl FnMut(&str)) -> Result<u64, ClientError> {
         let (mut reader, header) = self.call(&Request::Stream { id })?;
         match header {
@@ -243,11 +211,6 @@ impl Client {
     /// [`stream_raw`](Client::stream_raw) under [`STREAM_TIMEOUT`].
     pub fn stream(&self, id: u64) -> Result<Vec<JobResult>, ClientError> {
         parse_lines(&self.clone().with_timeout(STREAM_TIMEOUT).stream_raw(id)?)
-    }
-
-    /// Streams and parses a finished sweep's results.
-    pub fn results(&self, id: u64) -> Result<Vec<JobResult>, ClientError> {
-        parse_lines(&self.results_raw(id)?)
     }
 
     /// Derives trace metrics for one job of a finished sweep. Returns

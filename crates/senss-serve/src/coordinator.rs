@@ -2,38 +2,43 @@
 //!
 //! Topology: one coordinator (the process running [`Server`] with a
 //! [`ClusterConfig`]) supervises N worker processes ([`WorkerProc`]),
-//! each an ordinary `senss-serve worker` speaking the NDJSON protocol
-//! on loopback. The coordinator's own [`Harness`] runs every sweep: it
-//! serves cache hits, applies the cycle budget, writes records and
-//! streams lines exactly as a local run does, with one thread per
-//! worker slot whose job runner is `Coordinator::run_job`. That
-//! sends the job to an idle worker as a one-job sweep and decodes the
-//! stats from the worker's result line. Result lines are deterministic,
-//! so a cluster sweep is byte-identical to a local run of it, and the
-//! coordinator's cache file is the only one written.
+//! each a `senss-serve worker` child that answers one job line on its
+//! stdin with one result line on its stdout (see [`crate::worker`]).
+//! The coordinator's own [`Harness`] runs every sweep: it serves cache
+//! hits, applies the cycle budget, writes records and streams lines
+//! exactly as a local run does, with one thread per worker slot whose
+//! job runner is [`Coordinator::run_job`]. That writes the job to an
+//! idle worker and takes the stats from its reply. Result lines are
+//! deterministic, so a cluster sweep is byte-identical to a local run
+//! of it, and the coordinator's cache file is the only one written.
 //!
 //! Fault model: workers are hermetic and stateless, so supervision is
-//! kill-and-respawn. Any error talking to a worker (connect failure,
-//! mid-stream EOF from a crash, a structured error frame) retires that
-//! worker's process and retries the job on a fresh one, up to
-//! [`ClusterConfig::shard_retries`] times. Because jobs are
-//! deterministic, a retried job reproduces the lost line exactly. A job
-//! that still fails, or fails on the worker itself, fails alone, as a
-//! panicking job does in a local run.
+//! kill-and-respawn. Any failure talking to a worker (a spawn error, a
+//! broken pipe or EOF from a crash, no reply within
+//! [`ClusterConfig::worker_timeout`], a reply that does not parse)
+//! retires that worker's process and retries the job on a fresh one,
+//! up to [`JOB_RETRIES`] times. Because jobs are deterministic, a
+//! retried job reproduces the lost line exactly. A job that panics on
+//! the worker fails alone, with the worker's panic message, as a
+//! panicking job does in a local run; so does a job that exhausts its
+//! retries.
 //!
 //! [`Server`]: crate::Server
 //! [`Harness`]: senss_harness::Harness
 
-use crate::client::Client;
 use crate::metrics::Metrics;
-use crate::protocol::parse_result_line;
+use crate::server::lock_recover;
 use crate::worker::WorkerProc;
-use senss_harness::{JobSpec, SweepSpec};
+use senss_harness::JobSpec;
 use senss_sim::Stats;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// Retries per job after the first attempt; each retry respawns the
+/// job's worker.
+pub const JOB_RETRIES: u32 = 2;
 
 /// Configuration of the worker cluster behind a coordinator.
 #[derive(Debug, Clone)]
@@ -45,27 +50,21 @@ pub struct ClusterConfig {
     /// executable (`std::env::current_exe`); tests point it at
     /// `CARGO_BIN_EXE_senss-serve`.
     pub program: String,
-    /// Extra arguments after `worker --addr 127.0.0.1:0`, e.g.
-    /// `--quiet`.
+    /// Extra arguments after `worker`, e.g. `--quiet`.
     pub worker_args: Vec<String>,
-    /// Retries per job after the first attempt; each retry respawns
-    /// the job's worker.
-    pub shard_retries: u32,
-    /// Per-call I/O timeout talking to a worker. The result stream
-    /// waits for the job to finish, so size it to the slowest single
-    /// job.
+    /// How long to wait for a worker's hello line, and for its reply to
+    /// one job; size it to the slowest single job.
     pub worker_timeout: Duration,
 }
 
 impl ClusterConfig {
-    /// A cluster of `workers` processes spawned from `program`, with
-    /// 2 retries per job and a 60 s worker-stall timeout.
+    /// A cluster of `workers` processes spawned from `program`, with a
+    /// 60 s worker-stall timeout.
     pub fn new(workers: usize, program: impl Into<String>) -> ClusterConfig {
         ClusterConfig {
             workers: workers.max(1),
             program: program.into(),
             worker_args: Vec::new(),
-            shard_retries: 2,
             worker_timeout: Duration::from_secs(60),
         }
     }
@@ -73,12 +72,6 @@ impl ClusterConfig {
     /// Appends an argument passed to every worker process.
     pub fn with_worker_arg(mut self, arg: impl Into<String>) -> ClusterConfig {
         self.worker_args.push(arg.into());
-        self
-    }
-
-    /// Sets the per-job retry budget.
-    pub fn with_shard_retries(mut self, retries: u32) -> ClusterConfig {
-        self.shard_retries = retries;
         self
     }
 
@@ -91,10 +84,11 @@ impl ClusterConfig {
 
 /// One worker slot: its live process, if any, and how many times a
 /// process was spawned for it. Only the job holding the slot spawns or
-/// retires its process.
+/// retires its process; [`Coordinator::kill_worker`] may kill it at any
+/// time, which the job sees as a broken pipe.
 #[derive(Default)]
 struct Slot {
-    proc_: Option<WorkerProc>,
+    proc_: Option<Arc<WorkerProc>>,
     spawns: u64,
 }
 
@@ -118,10 +112,6 @@ impl std::fmt::Debug for Coordinator {
             .field("program", &self.cfg.program)
             .finish()
     }
-}
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Coordinator {
@@ -151,43 +141,39 @@ impl Coordinator {
         }
     }
 
-    /// Number of worker slots.
-    pub fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Ensures slot `slot` has a live worker, spawning one if needed;
-    /// returns its address. The slot lock is released before any
-    /// network I/O happens against the returned address.
-    fn checkout(&self, slot: usize) -> std::io::Result<String> {
+    /// Ensures slot `slot` has a live worker, spawning one if needed,
+    /// and returns it. The slot lock is released before any job I/O.
+    fn checkout(&self, slot: usize) -> std::io::Result<Arc<WorkerProc>> {
         let mut s = lock_recover(&self.slots[slot]);
-        if s.proc_.is_none() {
-            let proc_ = WorkerProc::spawn(&self.cfg.program, &self.cfg.worker_args)?;
-            s.spawns += 1;
-            if s.spawns > 1 {
-                self.metrics
-                    .workers_respawned
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(w) = self.metrics.worker(slot) {
-                    w.respawns.fetch_add(1, Ordering::Relaxed);
-                }
-                self.log(format_args!(
-                    "worker {slot} respawned at {} (spawn {})",
-                    proc_.addr(),
-                    s.spawns
-                ));
-            } else {
-                self.log(format_args!("worker {slot} started at {}", proc_.addr()));
-            }
-            s.proc_ = Some(proc_);
+        if let Some(proc_) = &s.proc_ {
+            return Ok(Arc::clone(proc_));
         }
-        Ok(s.proc_.as_ref().expect("just ensured").addr().to_string())
+        let proc_ = Arc::new(WorkerProc::spawn(
+            &self.cfg.program,
+            &self.cfg.worker_args,
+            self.cfg.worker_timeout,
+        )?);
+        s.spawns += 1;
+        if s.spawns > 1 {
+            self.metrics
+                .workers_respawned
+                .fetch_add(1, Ordering::Relaxed);
+            if let Some(w) = self.metrics.worker(slot) {
+                w.respawns.fetch_add(1, Ordering::Relaxed);
+            }
+            self.log(format_args!("worker {slot} respawned (spawn {})", s.spawns));
+        } else {
+            self.log(format_args!("worker {slot} started"));
+        }
+        s.proc_ = Some(Arc::clone(&proc_));
+        Ok(proc_)
     }
 
-    /// Kills slot `slot`'s worker process, if it has one (dropping a
-    /// [`WorkerProc`] kills it). The next job on the slot respawns it.
+    /// Kills slot `slot`'s worker process, if it has one. The next job
+    /// on the slot respawns it.
     fn retire(&self, slot: usize) -> bool {
-        lock_recover(&self.slots[slot]).proc_.take().is_some()
+        let proc_ = lock_recover(&self.slots[slot]).proc_.take();
+        proc_.map(|p| p.kill()).is_some()
     }
 
     /// Fault-injection hook: kills slot `slot`'s worker process
@@ -200,49 +186,43 @@ impl Coordinator {
 
     /// Runs `job` on an idle worker and returns its stats: the
     /// coordinator harness's job runner. A transport failure retires
-    /// the worker and retries on a fresh one, up to
-    /// [`ClusterConfig::shard_retries`] times.
+    /// the worker and retries on a fresh one, up to [`JOB_RETRIES`]
+    /// times.
     ///
     /// # Panics
     ///
     /// Panics, so that the harness reports the job failed, when the
-    /// worker ran the job but produced no result line, or when every
-    /// attempt failed.
-    pub(crate) fn run_job(&self, job: &JobSpec) -> Stats {
+    /// job panicked on the worker (the message carries the worker's),
+    /// or when every attempt failed.
+    pub fn run_job(&self, job: &JobSpec) -> Stats {
         let slot = IdleSlot::take(self);
         self.metrics
             .shards_dispatched
             .fetch_add(1, Ordering::Relaxed);
-        let mut sweep = SweepSpec::new("");
-        sweep.push(*job);
         let mut last_err = String::from("no attempt made");
-        for attempt in 0..=self.cfg.shard_retries {
+        for attempt in 0..=JOB_RETRIES {
             if attempt > 0 {
                 self.metrics.shard_retries.fetch_add(1, Ordering::Relaxed);
                 self.log(format_args!(
-                    "worker {} retry {attempt}/{}",
-                    slot.0, self.cfg.shard_retries
+                    "worker {} retry {attempt}/{JOB_RETRIES}: {last_err}",
+                    slot.0
                 ));
             }
-            let addr = match self.checkout(slot.0) {
-                Ok(addr) => addr,
-                Err(e) => {
-                    last_err = format!("worker spawn failed: {e}");
-                    continue;
-                }
-            };
-            match self.attempt(&addr, &sweep) {
-                Ok(Some(stats)) => {
+            let reply = self
+                .checkout(slot.0)
+                .and_then(|worker| worker.run(job, self.cfg.worker_timeout));
+            match reply {
+                Ok(Ok(stats)) => {
                     if let Some(w) = self.metrics.worker(slot.0) {
                         w.jobs.fetch_add(1, Ordering::Relaxed);
                     }
                     return stats;
                 }
-                Ok(None) => panic!("job failed on worker {}", slot.0),
+                Ok(Err(message)) => panic!("job failed on worker {}: {message}", slot.0),
                 // Whatever went wrong, the worker is suspect; a fresh
                 // process is cheap and always safe.
                 Err(e) => {
-                    last_err = e;
+                    last_err = e.to_string();
                     self.retire(slot.0);
                 }
             }
@@ -250,25 +230,8 @@ impl Coordinator {
         panic!(
             "worker {} failed after {} attempt(s): {last_err}",
             slot.0,
-            self.cfg.shard_retries + 1
+            JOB_RETRIES + 1
         )
-    }
-
-    /// One attempt against one worker: submit the one-job sweep and
-    /// stream its line back. `Ok(None)` means the stream ended without
-    /// a line, i.e. the job itself failed on the worker.
-    fn attempt(&self, addr: &str, sweep: &SweepSpec) -> Result<Option<Stats>, String> {
-        let client = Client::new(addr).with_timeout(self.cfg.worker_timeout);
-        let (id, _) = client
-            .submit_once(sweep)
-            .map_err(|e| format!("submit to {addr}: {e}"))?;
-        let mut line = None;
-        client
-            .stream_with(id, |l| line = Some(l.to_string()))
-            .map_err(|e| format!("stream from {addr}: {e}"))?;
-        line.map(|l| parse_result_line(&l).map(|r| r.stats))
-            .transpose()
-            .map_err(|e| format!("result line from {addr}: {e}"))
     }
 }
 

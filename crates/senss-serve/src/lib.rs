@@ -7,9 +7,9 @@
 //! newline-delimited JSON protocol.
 //!
 //! * [`protocol`] — versioned request/response frames (`submit` a
-//!   [`SweepSpec`](senss_harness::SweepSpec), `status`, streamed
-//!   `results` and progressive `stream`, `metrics`, `shutdown`) plus
-//!   the deterministic per-job result-line codec.
+//!   [`SweepSpec`](senss_harness::SweepSpec), `status`, progressive
+//!   `stream`, `trace`, `metrics`, `shutdown`) plus the deterministic
+//!   per-job result-line codec.
 //! * [`server`] — a `poll(2)`-based event loop (one thread, every
 //!   connection; see [`sys`]) woken by job completions rather than a
 //!   timer, over a bounded job queue that **rejects
@@ -18,8 +18,9 @@
 //!   fatal; drain-then-exit shutdown.
 //! * [`coordinator`] / [`worker`] — the cluster tier: a coordinator's
 //!   harness serves cache hits and runs each miss on an idle,
-//!   hermetic `senss-serve worker` process with kill-and-respawn
-//!   retry, byte-identically to a local run.
+//!   hermetic `senss-serve worker` child process — a filter answering
+//!   one job line on its stdin with one result line on its stdout —
+//!   with kill-and-respawn retry, byte-identically to a local run.
 //! * [`metrics`] — lock-free in-process registry (request/error
 //!   counters, executed-vs-cached jobs, queue-depth and
 //!   open-connection gauges, per-worker job counters, wall-latency

@@ -2,14 +2,12 @@
 //!
 //! ```text
 //! senss-serve serve    [--addr 127.0.0.1:4765] [--queue 32] [--max-conns 4096]
-//!                      [--trace-workers 2] [--workers N] [--shard-retries 2]
-//!                      [--hermetic] [--quiet]
-//! senss-serve worker   [--addr 127.0.0.1:0] [--queue 32] [--stall-ms 0] [--quiet]
+//!                      [--workers N] [--hermetic] [--quiet]
+//! senss-serve worker   [--stall-ms 0] [--quiet]
 //! senss-serve submit   [--addr ...] [--name s] [--workloads fft,ocean] [--cores 2]
 //!                      [--l2-mb 1] [--modes baseline,senss] [--ops 2000] [--seed 42]
 //!                      [--file sweep.json] [--wait]
 //! senss-serve status   --id N [--addr ...]
-//! senss-serve results  --id N [--addr ...]
 //! senss-serve stream   --id N [--addr ...]
 //! senss-serve trace    --id N --index J [--addr ...]
 //! senss-serve metrics  [--addr ...]
@@ -18,33 +16,31 @@
 //! ```
 //!
 //! `submit --wait` streams the result lines as the jobs finish, the
-//! same bytes `results` prints once the sweep is done.
+//! same bytes a later `stream --id N` prints.
 //!
 //! `serve --workers N` runs the process as a cluster coordinator: its
 //! harness serves cache hits and runs each miss on one of N supervised
 //! `senss-serve worker` child processes (spawned from this same
-//! executable). `worker` is the child-process mode: it binds an
-//! ephemeral port, prints the bound address as its first stdout line,
-//! runs jobs hermetically (no cache or records on disk) and exits when
-//! its stdin closes. The server honours the usual `HARNESS_*`
-//! environment knobs (workers, cache, budget) for sweep execution; in
-//! cluster mode `--workers` sets the harness's thread count. See
-//! `docs/serving.md`.
+//! executable). `worker` is the child-process mode: a filter that
+//! prints a hello line, then answers each job-spec line on stdin with
+//! one result or error line on stdout, and exits at the end of stdin
+//! (see `senss_serve::worker`). The server honours the usual
+//! `HARNESS_*` environment knobs (workers, cache, budget) for sweep
+//! execution; in cluster mode `--workers` sets the harness's thread
+//! count. See `docs/serving.md`.
 
 use senss_harness::json::{self, Value};
 use senss_harness::{decode_spec, HarnessConfig, JobSpec, SecurityMode, SweepSpec};
 use senss_serve::client::STREAM_TIMEOUT;
 use senss_serve::{Client, ClusterConfig, Server, ServerConfig};
 use senss_workloads::Workload;
-use std::io::Write;
-use std::sync::Arc;
 use std::time::Duration;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:4765";
 
 fn usage() -> ! {
     eprintln!(
-        "usage: senss-serve <serve|worker|submit|status|results|stream|trace|metrics|ping|shutdown> [flags]\n\
+        "usage: senss-serve <serve|worker|submit|status|stream|trace|metrics|ping|shutdown> [flags]\n\
          run `senss-serve help` or see docs/serving.md for the flag reference"
     );
     std::process::exit(2);
@@ -130,7 +126,6 @@ fn main() {
         "worker" => worker(&flags),
         "submit" => submit(&flags),
         "status" => status(&flags),
-        "results" => results(&flags),
         "stream" => stream(&client(&flags), flags.require_u64("id")),
         "trace" => trace(&flags),
         "metrics" => metrics(&flags),
@@ -140,11 +135,10 @@ fn main() {
     }
 }
 
-fn base_config(flags: &Flags, default_addr: &str) -> ServerConfig {
-    let mut cfg = ServerConfig::new(flags.get_or("addr", default_addr))
+fn serve(flags: &Flags) -> ! {
+    let mut cfg = ServerConfig::new(flags.get_or("addr", DEFAULT_ADDR))
         .with_queue_capacity(flags.parse_or("queue", 32))
         .with_max_conns(flags.parse_or("max-conns", 4096));
-    cfg.trace_workers = flags.parse_or("trace-workers", 2);
     cfg.quiet = flags.has("quiet");
     if flags.has("hermetic") {
         cfg = cfg.with_harness(
@@ -152,17 +146,11 @@ fn base_config(flags: &Flags, default_addr: &str) -> ServerConfig {
                 .with_workers(std::thread::available_parallelism().map_or(2, |n| n.get())),
         );
     }
-    cfg
-}
-
-fn serve(flags: &Flags) -> ! {
-    let mut cfg = base_config(flags, DEFAULT_ADDR);
     let workers: usize = flags.parse_or("workers", 0);
     if workers > 0 {
         let program = std::env::current_exe()
             .unwrap_or_else(|e| fail(format_args!("cannot locate own executable: {e}")));
-        let mut cluster = ClusterConfig::new(workers, program.to_string_lossy())
-            .with_shard_retries(flags.parse_or("shard-retries", 2));
+        let mut cluster = ClusterConfig::new(workers, program.to_string_lossy());
         if flags.has("quiet") {
             cluster = cluster.with_worker_arg("--quiet");
         }
@@ -178,32 +166,26 @@ fn serve(flags: &Flags) -> ! {
     std::process::exit(0);
 }
 
-/// Cluster child-process mode: bind (default an ephemeral port), print
-/// the bound address as the first stdout line — the coordinator's
-/// readiness handshake — then serve hermetically until told to shut
-/// down or until stdin, which the coordinator holds open, reaches EOF.
+/// Cluster child-process mode: the job filter of
+/// [`senss_serve::worker::serve_jobs`] on stdin and stdout, until the
+/// coordinator closes stdin. `--quiet` silences the panic hook: a job's
+/// panic message travels to the coordinator in its error line.
 fn worker(flags: &Flags) -> ! {
-    let mut cfg = base_config(flags, "127.0.0.1:0").with_harness(HarnessConfig::hermetic());
-    let stall = Duration::from_millis(flags.parse_or("stall-ms", 0u64));
-    if !stall.is_zero() {
-        // Fault-injection aid: stretch each job's wall time without
-        // touching its deterministic result, so tests can kill a worker
-        // reliably mid-sweep.
-        cfg = cfg.with_runner(Arc::new(move |job: &JobSpec| {
-            std::thread::sleep(stall);
-            job.run()
-        }));
+    if let Some((key, _)) = flags
+        .0
+        .iter()
+        .find(|(k, _)| k != "stall-ms" && k != "quiet")
+    {
+        eprintln!("senss-serve: worker takes only --stall-ms and --quiet, not --{key}");
+        std::process::exit(2);
     }
-    let server = Server::start(cfg).unwrap_or_else(|e| fail(format_args!("bind failed: {e}")));
-    println!("{}", server.addr());
-    let _ = std::io::stdout().flush();
-    let addr = server.addr().to_string();
-    std::thread::spawn(move || {
-        let _ = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink());
-        let _ = Client::new(addr).shutdown();
-    });
-    server.join();
-    std::process::exit(0);
+    if flags.has("quiet") {
+        std::panic::set_hook(Box::new(|_| {}));
+    }
+    let stall = Duration::from_millis(flags.parse_or("stall-ms", 0u64));
+    let served =
+        senss_serve::worker::serve_jobs(std::io::stdin().lock(), std::io::stdout().lock(), stall);
+    std::process::exit(i32::from(served.is_err()));
 }
 
 fn build_sweep(flags: &Flags) -> SweepSpec {
@@ -295,16 +277,6 @@ fn status(flags: &Flags) {
         if info.message.is_empty() { "" } else { ": " },
         info.message
     );
-}
-
-fn results(flags: &Flags) {
-    let id = flags.require_u64("id");
-    for line in client(flags)
-        .results_raw(id)
-        .unwrap_or_else(|e| fail(format_args!("results failed: {e}")))
-    {
-        println!("{line}");
-    }
 }
 
 /// Streams a sweep's result lines progressively, printing each as it

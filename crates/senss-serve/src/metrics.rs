@@ -76,8 +76,6 @@ pub struct Metrics {
     pub requests_submit: AtomicU64,
     /// `status` requests served.
     pub requests_status: AtomicU64,
-    /// `results` requests served.
-    pub requests_results: AtomicU64,
     /// `stream` requests served.
     pub requests_stream: AtomicU64,
     /// `trace` requests served.
@@ -168,7 +166,6 @@ impl Metrics {
         let counter = match kind {
             "submit" => &self.requests_submit,
             "status" => &self.requests_status,
-            "results" => &self.requests_results,
             "stream" => &self.requests_stream,
             "trace" => &self.requests_trace,
             "metrics" => &self.requests_metrics,
@@ -224,7 +221,6 @@ impl Metrics {
             ("requests_total".to_string(), get(&self.requests_total)),
             ("requests_submit".to_string(), get(&self.requests_submit)),
             ("requests_status".to_string(), get(&self.requests_status)),
-            ("requests_results".to_string(), get(&self.requests_results)),
             ("requests_stream".to_string(), get(&self.requests_stream)),
             ("requests_trace".to_string(), get(&self.requests_trace)),
             ("requests_metrics".to_string(), get(&self.requests_metrics)),

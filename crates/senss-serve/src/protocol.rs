@@ -11,27 +11,29 @@
 //! |---|---|---|
 //! | → | `submit` | enqueue a [`SweepSpec`] for execution |
 //! | → | `status` | query a submitted sweep's state |
-//! | → | `results` | stream a finished sweep's per-job results |
 //! | → | `stream` | stream a sweep's results progressively, while it runs |
 //! | → | `trace` | derive trace metrics for one job of a finished sweep |
 //! | → | `metrics` | snapshot the server's metrics registry |
 //! | → | `ping` | liveness probe |
 //! | → | `shutdown` | drain the job queue, then exit |
-//! | ← | `submitted`, `status`, `results`, `stream`, `record`…, `end`, `trace`, `metrics`, `pong`, `shutting_down` | success frames |
+//! | ← | `submitted`, `status`, `stream`, `record`…, `end`, `trace`, `metrics`, `pong`, `shutting_down` | success frames |
 //! | ← | `error` | structured failure (`class`, `retriable`, `message`) |
 //!
-//! `results` and `stream` replies are the only multi-line exchanges: a
-//! header frame, then [`result_line`] frames, then one `end` frame.
-//! `results` requires the sweep to be done and ships exactly `count`
-//! lines at once; `stream` accepts a queued or running sweep and ships
-//! each record line as the job completes, **in index order** (line for
-//! index `i` is held until every line below `i` has shipped, so the
-//! concatenation is always a prefix of the final JSONL). Result lines
+//! A `stream` reply is the only multi-line exchange: a header frame,
+//! then [`result_line`] frames, then one `end` frame. It accepts a
+//! sweep in any live state and ships each record line as the job
+//! completes, **in index order** (line for index `i` is held until
+//! every line below `i` has shipped, so the concatenation is always a
+//! prefix of the final JSONL); on a finished sweep it ships every line
+//! at once. Result lines
 //! are **deterministic**: they carry the job's identity
 //! ([`encode_spec`] fields + cache key) and its full [`Stats`], and
-//! deliberately omit wall time, worker id, attempts and cache
+//! deliberately omit wall time, worker id and cache
 //! provenance — so the bytes a client receives are identical to a
 //! local [`Harness`](senss_harness::Harness) run of the same spec.
+//!
+//! A cluster worker ([`crate::worker`]) speaks a subset on its pipes:
+//! [`encode_spec`] lines in, [`result_line`] or `error` frames out.
 //!
 //! See `docs/serving.md` for the prose reference.
 
@@ -168,11 +170,6 @@ pub enum Request {
         /// Server-assigned sweep id.
         id: u64,
     },
-    /// Stream a finished sweep's results.
-    Results {
-        /// Server-assigned sweep id.
-        id: u64,
-    },
     /// Stream a sweep's results progressively: record lines ship in
     /// index order as jobs complete, without waiting for the sweep.
     Stream {
@@ -202,7 +199,6 @@ impl Request {
         match self {
             Request::Submit { .. } => "submit",
             Request::Status { .. } => "status",
-            Request::Results { .. } => "results",
             Request::Stream { .. } => "stream",
             Request::Trace { .. } => "trace",
             Request::Metrics => "metrics",
@@ -231,7 +227,7 @@ impl Request {
                     ),
                 ));
             }
-            Request::Status { id } | Request::Results { id } | Request::Stream { id } => {
+            Request::Status { id } | Request::Stream { id } => {
                 fields.push(("id".to_string(), Value::UInt(*id)));
             }
             Request::Trace { id, index } => {
@@ -303,7 +299,6 @@ impl Request {
                 })
             }
             "status" => Ok(Request::Status { id: id()? }),
-            "results" => Ok(Request::Results { id: id()? }),
             "stream" => Ok(Request::Stream { id: id()? }),
             "trace" => Ok(Request::Trace {
                 id: id()?,
@@ -368,13 +363,6 @@ pub enum Response {
     },
     /// Status of a submitted sweep.
     Status(StatusInfo),
-    /// Header preceding `count` result lines and one `end` frame.
-    ResultsHeader {
-        /// The sweep the results belong to.
-        id: u64,
-        /// Number of result lines that follow.
-        count: u64,
-    },
     /// Header preceding a progressive result stream: record lines
     /// follow as jobs complete (in index order), then one `end` frame
     /// whose `count` is the lines actually shipped (jobs that failed
@@ -457,13 +445,6 @@ impl Response {
                     ("message".to_string(), Value::Str(s.message.clone())),
                 ],
             ),
-            Response::ResultsHeader { id, count } => obj(
-                "results",
-                vec![
-                    ("id".to_string(), Value::UInt(*id)),
-                    ("count".to_string(), Value::UInt(*count)),
-                ],
-            ),
             Response::StreamHeader { id, jobs } => obj(
                 "stream",
                 vec![
@@ -538,10 +519,6 @@ impl Response {
                 failures: uint("failures")?,
                 message: string("message")?,
             })),
-            "results" => Ok(Response::ResultsHeader {
-                id: uint("id")?,
-                count: uint("count")?,
-            }),
             "stream" => Ok(Response::StreamHeader {
                 id: uint("id")?,
                 jobs: uint("jobs")?,
@@ -637,8 +614,7 @@ mod tests {
                 sweep: sample_sweep(),
             },
             Request::Status { id: 3 },
-            Request::Results { id: u64::MAX },
-            Request::Stream { id: 12 },
+            Request::Stream { id: u64::MAX },
             Request::Trace { id: 7, index: 2 },
             Request::Metrics,
             Request::Ping,
@@ -702,7 +678,6 @@ mod tests {
                 failures: 0,
                 message: String::new(),
             }),
-            Response::ResultsHeader { id: 1, count: 4 },
             Response::StreamHeader { id: 1, jobs: 4 },
             Response::End { id: 1, count: 4 },
             Response::Trace {
@@ -771,7 +746,6 @@ mod tests {
             stats: stats.clone(),
             wall_micros: wall,
             worker,
-            attempts: 1,
             cached,
         };
         // Nondeterministic execution metadata must not leak into the line.

@@ -6,8 +6,8 @@
 //! thread, so thousands of idle clients are cheap. Beside it run one
 //! executor thread draining a **bounded** sweep queue through the
 //! [`Harness`] (in cluster mode, one whose jobs run on worker processes
-//! through a [`Coordinator`]), and a small fixed pool of trace threads so
-//! `trace` re-simulations never stall the event loop.
+//! through a [`Coordinator`]), and a pool of [`TRACE_WORKERS`] trace
+//! threads so `trace` re-simulations never stall the event loop.
 //!
 //! The loop never ticks: a byte on its wake socket reports each
 //! finished job, sweep and trace, and shutdown. Otherwise `poll` sleeps
@@ -22,11 +22,11 @@
 //! server's latency stays flat and clients are told to back off (see
 //! `docs/serving.md`).
 //!
-//! Results stream instead of buffering: a `results` or `stream` reply
-//! is pumped into the connection's write buffer a few lines at a time
-//! under a high-water mark, and `stream` ships each record line as the
-//! executor completes the job (in index order), so a slow client or a
-//! huge sweep never balloons server memory.
+//! Results stream instead of buffering: a `stream` reply is pumped into
+//! the connection's write buffer a few lines at a time under a
+//! high-water mark, shipping each record line as the executor completes
+//! the job (in index order), so a slow client or a huge sweep never
+//! balloons server memory.
 //!
 //! Degradation rules: a malformed frame produces an `error` reply and
 //! the connection keeps being served; a frame over the size cap or an
@@ -66,6 +66,10 @@ pub type JobRunner = Arc<dyn Fn(&JobSpec) -> Stats + Send + Sync>;
 /// buffers at most this much (plus one frame).
 const WRITE_HIGH_WATER: usize = 256 * 1024;
 
+/// Threads serving `trace` re-simulations (they are CPU-bound and must
+/// never run on the event loop).
+pub const TRACE_WORKERS: usize = 2;
+
 /// Server configuration.
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -85,9 +89,6 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Maximum request-frame size in bytes.
     pub max_frame_bytes: usize,
-    /// Threads serving `trace` re-simulations (they are CPU-bound and
-    /// must never run on the event loop).
-    pub trace_workers: usize,
     /// Harness configuration for sweep execution. In cluster mode its
     /// thread count is the cluster's worker count.
     pub harness: HarnessConfig,
@@ -109,7 +110,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("read_timeout", &self.read_timeout)
             .field("write_timeout", &self.write_timeout)
             .field("max_frame_bytes", &self.max_frame_bytes)
-            .field("trace_workers", &self.trace_workers)
             .field("harness", &self.harness)
             .field("runner", &self.runner.as_ref().map(|_| "<custom>"))
             .field("cluster", &self.cluster)
@@ -129,7 +129,6 @@ impl ServerConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
             max_frame_bytes: 8 << 20,
-            trace_workers: 2,
             harness: HarnessConfig::from_env(),
             runner: None,
             cluster: None,
@@ -264,7 +263,7 @@ impl Shared {
 /// mid-update can at worst leave one sweep entry stale; every other
 /// connection must keep being served, so poisoning is never allowed to
 /// cascade into a process-wide denial of service.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -328,7 +327,7 @@ impl Server {
                 event_loop(listener, &shared, &trace_tx, &trace_done)
             }));
         }
-        for _ in 0..cfg.trace_workers.max(1) {
+        for _ in 0..TRACE_WORKERS {
             let shared = Arc::clone(&shared);
             let trace_rx = Arc::clone(&trace_rx);
             let trace_done = Arc::clone(&trace_done);
@@ -342,9 +341,13 @@ impl Server {
                 Some(cluster) => cfg.harness.clone().with_workers(cluster.workers),
                 None => cfg.harness.clone(),
             });
-            let coordinator = coordinator.clone();
+            // In cluster mode the coordinator is the job runner.
+            let runner = match coordinator.clone() {
+                Some(c) => Some(Arc::new(move |job: &JobSpec| c.run_job(job)) as JobRunner),
+                None => cfg.runner.clone(),
+            };
             threads.push(std::thread::spawn(move || {
-                executor_loop(&shared, &harness, coordinator.as_deref())
+                executor_loop(&shared, &harness, runner.as_ref())
             }));
         }
         Ok(Server {
@@ -433,7 +436,7 @@ fn extract_frame(rbuf: &mut Vec<u8>, max: usize) -> Extracted {
 // Connections
 // ---------------------------------------------------------------------------
 
-/// Cursor of an in-progress `results`/`stream` reply: record lines are
+/// Cursor of an in-progress `stream` reply: record lines are
 /// pumped into the write buffer in index order as they become
 /// available, then the `end` trailer.
 struct ResultStream {
@@ -892,7 +895,6 @@ fn process_frames(conn: &mut Conn, token: u64, shared: &Shared, trace_tx: &Sende
                 let response = status(id, shared);
                 conn.push_response(shared, &response);
             }
-            Request::Results { id } => open_stream(conn, shared, id, results_header(id, shared)),
             Request::Stream { id } => open_stream(conn, shared, id, stream_header(id, shared)),
             Request::Trace { id, index } => {
                 conn.trace_pending = true;
@@ -929,7 +931,7 @@ fn process_frames(conn: &mut Conn, token: u64, shared: &Shared, trace_tx: &Sende
     }
 }
 
-/// Sends a `results` or `stream` reply's header and starts pumping the
+/// Sends a `stream` reply's header and starts pumping the
 /// sweep's lines after it, or sends the refusal.
 fn open_stream(conn: &mut Conn, shared: &Shared, id: u64, header: Result<Response, Response>) {
     match header {
@@ -1120,8 +1122,8 @@ fn failed(id: u64, message: &str) -> Response {
     )
 }
 
-/// The result lines of finished sweep `id`, which `results` and `trace`
-/// require, or the reply saying why there are none yet.
+/// The result lines of finished sweep `id`, which `trace` requires, or
+/// the reply saying why there are none yet.
 fn finished_lines(id: u64, shared: &Shared) -> Result<Arc<Vec<Option<String>>>, Response> {
     match &entry(&lock_recover(&shared.table), id)?.state {
         EntryState::Queued { .. } | EntryState::Running { .. } => Err(Response::error(
@@ -1131,13 +1133,6 @@ fn finished_lines(id: u64, shared: &Shared) -> Result<Arc<Vec<Option<String>>>, 
         EntryState::Failed { message } => Err(failed(id, message)),
         EntryState::Done { lines, .. } => Ok(Arc::clone(lines)),
     }
-}
-
-/// Validates a `results` request; the reply header on success. Results
-/// require a finished sweep (`stream` is the progressive alternative).
-fn results_header(id: u64, shared: &Shared) -> Result<Response, Response> {
-    let count = finished_lines(id, shared)?.iter().flatten().count() as u64;
-    Ok(Response::ResultsHeader { id, count })
 }
 
 /// Validates a `stream` request; the reply header on success. Streams
@@ -1232,7 +1227,7 @@ fn trace(id: u64, index: u64, shared: &Shared) -> Result<Response, Response> {
 // The executor
 // ---------------------------------------------------------------------------
 
-fn executor_loop(shared: &Shared, harness: &Harness, coordinator: Option<&Coordinator>) {
+fn executor_loop(shared: &Shared, harness: &Harness, runner: Option<&JobRunner>) {
     loop {
         let (id, sweep, partial) = {
             let mut table = lock_recover(&shared.table);
@@ -1282,10 +1277,10 @@ fn executor_loop(shared: &Shared, harness: &Harness, coordinator: Option<&Coordi
             }
         };
         shared.metrics.queue_popped();
-        let outcome = run_sweep(shared, harness, coordinator, &sweep, &partial);
+        let outcome = run_sweep(shared, harness, runner, &sweep, &partial);
         // The observer has filled every successful slot; snapshot it as
-        // the final line set so `results` serves exactly the streamed
-        // bytes.
+        // the final line set so a later `stream` serves exactly the
+        // bytes streamed while the sweep ran.
         let lines = Arc::new(lock_recover(&partial).clone());
         let mut table = lock_recover(&shared.table);
         let Some(entry) = table.entries.get_mut(&id) else {
@@ -1326,14 +1321,14 @@ fn executor_loop(shared: &Shared, harness: &Harness, coordinator: Option<&Coordi
     }
 }
 
-/// Executes one sweep through the harness, whose jobs run locally or,
-/// in cluster mode, on the workers, filling `partial` with encoded
-/// result lines as jobs complete and waking the event loop, so attached
-/// streams ship them immediately.
+/// Executes one sweep through the harness, whose jobs run locally or
+/// on `runner` (in cluster mode, the workers), filling `partial` with
+/// encoded result lines as jobs complete and waking the event loop, so
+/// attached streams ship them immediately.
 fn run_sweep(
     shared: &Shared,
     harness: &Harness,
-    coordinator: Option<&Coordinator>,
+    runner: Option<&JobRunner>,
     sweep: &SweepSpec,
     partial: &PartialLines,
 ) -> std::io::Result<SweepResult> {
@@ -1341,10 +1336,9 @@ fn run_sweep(
         lock_recover(partial)[rec.index] = Some(crate::protocol::result_line(rec));
         shared.wake();
     };
-    match (coordinator, &shared.cfg.runner) {
-        (Some(c), _) => harness.run_with_observed(sweep, |j| c.run_job(j), observe),
-        (None, Some(r)) => harness.run_with_observed(sweep, |j| r(j), observe),
-        (None, None) => harness.run_observed(sweep, observe),
+    match runner {
+        Some(r) => harness.run_with_observed(sweep, |j| r(j), observe),
+        None => harness.run_observed(sweep, observe),
     }
 }
 
@@ -1408,7 +1402,6 @@ mod tests {
             },
             wall_micros: 1,
             worker: Some(0),
-            attempts: 1,
             cached: false,
         };
         let line = result_line(&rec);

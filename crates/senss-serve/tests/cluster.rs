@@ -6,17 +6,23 @@
 //! workers must produce exactly the JSONL a local [`Harness`] run
 //! produces — including after a worker is killed mid-sweep and its job
 //! is retried on a respawned process. The coordinator's own harness
-//! owns the cache and the cycle budget. Workers exit when their
-//! coordinator goes away. Plus the event-loop capacity bar: ≥512 idle
-//! connections served concurrently.
+//! owns the cache and the cycle budget. A worker is a filter on its
+//! pipes: it answers bad lines and panicking jobs with error lines,
+//! keeps serving, and exits when its coordinator goes away. Plus the
+//! event-loop capacity bar: ≥512 idle connections served concurrently.
 
-use senss_harness::json;
-use senss_harness::{Harness, HarnessConfig, SecurityMode, SweepSpec};
-use senss_serve::{Client, ClusterConfig, Server, ServerConfig, SweepState};
+use senss_harness::json::{self, Value};
+use senss_harness::{
+    encode_spec, Harness, HarnessConfig, JobError, JobSpec, SecurityMode, SweepSpec, TraceSpec,
+};
+use senss_serve::protocol::{parse_result_line, ErrorClass, Response};
+use senss_serve::{Client, ClusterConfig, Coordinator, Metrics, Server, ServerConfig, SweepState};
 use senss_workloads::Workload;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Command, Stdio};
+use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The compiled `senss-serve` binary, used as the worker program.
@@ -97,7 +103,7 @@ fn sharded_sweep_is_byte_identical_to_a_local_run() {
     assert_eq!(jobs, sweep.len() as u64);
     wait_done(&client, id, Duration::from_secs(120));
 
-    let via_cluster = client.results_raw(id).expect("results");
+    let via_cluster = client.stream_raw(id).expect("stream");
     assert_eq!(via_cluster, direct_result_lines(&sweep));
 
     // Every job was dispatched once, and both workers ran some.
@@ -137,7 +143,7 @@ fn backend_modes_cross_the_wire_byte_identically() {
     let (id, jobs) = client.submit(&sweep).expect("submit");
     assert_eq!(jobs, 3);
     wait_done(&client, id, Duration::from_secs(120));
-    let via_cluster = client.results_raw(id).expect("results");
+    let via_cluster = client.stream_raw(id).expect("stream");
     assert_eq!(via_cluster, direct_result_lines(&sweep));
     server.shutdown();
 }
@@ -163,7 +169,7 @@ fn killed_worker_mid_sweep_retries_the_shard_byte_identically() {
 
     wait_done(&client, id, Duration::from_secs(120));
     let expected = direct_result_lines(&sweep);
-    assert_eq!(client.results_raw(id).expect("results"), expected);
+    assert_eq!(client.stream_raw(id).expect("stream"), expected);
     assert_eq!(stream_thread.join().expect("stream thread"), expected);
 
     assert!(
@@ -226,24 +232,61 @@ fn the_coordinator_applies_its_cycle_budget() {
     server.shutdown();
 }
 
-#[test]
-fn a_worker_exits_when_its_stdin_closes() {
+/// A job `decode_spec` admits but the simulator rejects: 3 MiB is not
+/// a power-of-two L2, so building its system panics.
+fn bad_l2_job() -> JobSpec {
+    JobSpec::new(Workload::Fft, 2, 3 << 20).with_ops(100)
+}
+
+/// A job that gets a cache key but panics when it runs: the
+/// false-sharing micro-trace is a 2-core scenario. (A bad L2 size
+/// already panics in the cache key, before any runner sees the job.)
+fn bad_trace_job() -> JobSpec {
+    JobSpec::new(TraceSpec::FalseSharing, 4, 1 << 20).with_ops(100)
+}
+
+fn spec_line(job: &JobSpec) -> String {
+    Value::Obj(encode_spec(job)).encode()
+}
+
+/// A worker process driven directly through its pipes.
+fn spawn_worker() -> (Child, ChildStdin, impl FnMut() -> String) {
     let mut child = Command::new(WORKER_BIN)
         .args(["worker", "--quiet"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn worker");
-    let mut addr = String::new();
-    BufReader::new(child.stdout.take().unwrap())
-        .read_line(&mut addr)
-        .expect("handshake line");
-    assert!(
-        addr.trim().parse::<std::net::SocketAddr>().is_ok(),
-        "{addr:?}"
-    );
+    let stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let next_line = move || {
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("worker reply");
+        line.trim_end().to_string()
+    };
+    (child, stdin, next_line)
+}
+
+fn error_frame(line: &str) -> (ErrorClass, String) {
+    match Response::decode(line) {
+        Ok(Response::Error { class, message, .. }) => (class, message),
+        other => panic!("expected an error frame, got {other:?} from {line:?}"),
+    }
+}
+
+#[test]
+fn a_worker_exits_when_its_stdin_closes() {
+    let (mut child, mut stdin, mut next_line) = spawn_worker();
+    assert_eq!(next_line(), senss_serve::worker::hello());
+
+    let job = cluster_sweep("one", 9).jobs[0];
+    writeln!(stdin, "{}", spec_line(&job)).unwrap();
+    let reply = parse_result_line(&next_line()).expect("result line");
+    assert_eq!(reply.spec, job);
+    assert_eq!(reply.stats, job.run());
+
     // The coordinator holding the other end is gone.
-    drop(child.stdin.take());
+    drop(stdin);
     let start = Instant::now();
     while child.try_wait().expect("try_wait").is_none() {
         if start.elapsed() > Duration::from_secs(10) {
@@ -253,6 +296,89 @@ fn a_worker_exits_when_its_stdin_closes() {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+#[test]
+fn a_worker_answers_bad_lines_and_panics_and_keeps_serving() {
+    let (mut child, mut stdin, mut next_line) = spawn_worker();
+    assert_eq!(next_line(), senss_serve::worker::hello());
+
+    writeln!(stdin, "{{\"trace\":\"fft\"").unwrap();
+    assert_eq!(error_frame(&next_line()).0, ErrorClass::Malformed);
+
+    writeln!(stdin, "{}", spec_line(&bad_l2_job())).unwrap();
+    let (class, message) = error_frame(&next_line());
+    assert_eq!(class, ErrorClass::Internal);
+    assert!(message.contains("power of two"), "{message}");
+
+    writeln!(
+        stdin,
+        "{}",
+        "x".repeat(senss_serve::worker::MAX_JOB_LINE + 1)
+    )
+    .unwrap();
+    assert_eq!(error_frame(&next_line()).0, ErrorClass::Malformed);
+
+    let job = cluster_sweep("after", 2).jobs[1];
+    writeln!(stdin, "{}", spec_line(&job)).unwrap();
+    assert_eq!(
+        parse_result_line(&next_line()).expect("result line").stats,
+        job.run()
+    );
+
+    drop(stdin);
+    assert!(child.wait().expect("worker exit").success());
+}
+
+#[test]
+fn a_job_that_panics_on_a_worker_fails_alone_with_its_message() {
+    let metrics = Arc::new(Metrics::with_workers(2));
+    let coordinator = Coordinator::start(cluster_config(0), Arc::clone(&metrics), true)
+        .expect("coordinator start");
+    let mut sweep = cluster_sweep("panics", 4);
+    let bad = bad_trace_job();
+    sweep.push(bad);
+    let result = Harness::new(HarnessConfig::hermetic().with_workers(2))
+        .run_with(&sweep, |job| coordinator.run_job(job))
+        .expect("sweep");
+
+    assert_eq!(result.records.len(), sweep.len() - 1);
+    assert_eq!(result.failures.len(), 1);
+    assert_eq!(result.failures[0].spec, bad);
+    // A panic is the job's fault, not the worker's: nothing is retried.
+    assert_eq!(metrics.shard_retries.load(Ordering::Relaxed), 0);
+    assert_eq!(metrics.workers_respawned.load(Ordering::Relaxed), 0);
+    let local = Harness::new(HarnessConfig::hermetic())
+        .run(&SweepSpec {
+            name: String::new(),
+            jobs: vec![bad],
+        })
+        .expect("local run");
+    let JobError::Panicked(want) = &local.failures[0].error else {
+        panic!(
+            "local failure is not a panic: {:?}",
+            local.failures[0].error
+        );
+    };
+    match &result.failures[0].error {
+        JobError::Panicked(got) => assert!(got.contains(want.as_str()), "{got:?} lacks {want:?}"),
+        other => panic!("expected a panic, got {other:?}"),
+    }
+    let lines: Vec<String> = result
+        .records
+        .iter()
+        .map(senss_serve::protocol::result_line)
+        .collect();
+    let mut good = sweep.clone();
+    good.jobs.pop();
+    assert_eq!(lines, direct_result_lines(&good));
+}
+
+#[test]
+fn a_program_that_is_not_a_worker_fails_the_start() {
+    let cfg = ServerConfig::loopback().with_cluster(ClusterConfig::new(1, "true"));
+    let err = Server::start(cfg).expect_err("`true` prints no hello line");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
 }
 
 #[test]
@@ -274,7 +400,7 @@ fn hundreds_of_idle_connections_are_served_concurrently() {
     let (id, _) = client.submit(&sweep).expect("submit");
     wait_done(&client, id, Duration::from_secs(60));
     assert_eq!(
-        client.results_raw(id).expect("results"),
+        client.stream_raw(id).expect("stream"),
         direct_result_lines(&sweep)
     );
 

@@ -1,7 +1,7 @@
 //! Loopback integration tests: the acceptance criteria of the serving
 //! subsystem.
 //!
-//! * ≥8 concurrent clients drive full submit→status→results cycles and
+//! * ≥8 concurrent clients drive full submit→status→stream cycles and
 //!   every byte matches a direct [`Harness`] run of the same spec;
 //! * a full queue rejects with the retriable `overloaded` error instead
 //!   of hanging, and the server keeps serving;
@@ -68,7 +68,7 @@ fn concurrent_clients_get_byte_identical_results() {
                     _ => std::thread::sleep(Duration::from_millis(20)),
                 }
             }
-            let remote = client.results_raw(id).expect("results");
+            let remote = client.stream_raw(id).expect("stream");
             (sweep, remote)
         }));
     }
@@ -283,8 +283,9 @@ fn sweep_names_that_leave_the_records_directory_are_malformed() {
 
 #[test]
 fn a_bogus_results_count_is_a_protocol_error_not_an_allocation() {
-    // A peer that promises u64::MAX result lines and then hangs up must
-    // not make the client preallocate for them.
+    // A peer whose stream header and `end` frame promise u64::MAX result
+    // lines, none of which arrive, must not make the client preallocate
+    // for them or accept the stream.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let peer = std::thread::spawn(move || {
@@ -295,12 +296,13 @@ fn a_bogus_results_count_is_a_protocol_error_not_an_allocation() {
         let mut writer = stream;
         writeln!(
             writer,
-            "{{\"type\":\"results\",\"id\":0,\"count\":18446744073709551615}}"
+            "{{\"type\":\"stream\",\"id\":0,\"jobs\":18446744073709551615}}\n\
+             {{\"type\":\"end\",\"id\":0,\"count\":18446744073709551615}}"
         )
         .unwrap();
     });
     let client = Client::new(addr.to_string());
-    match client.results_raw(0) {
+    match client.stream_with(0, |line| panic!("no line was sent, got {line:?}")) {
         Err(ClientError::Protocol(_)) => {}
         other => panic!("expected a protocol error, got {other:?}"),
     }
@@ -319,7 +321,7 @@ fn unknown_ids_and_unfinished_sweeps_are_classified() {
         }) => {}
         other => panic!("expected not_found, got {other:?}"),
     }
-    match client.results(12345) {
+    match client.stream(12345) {
         Err(ClientError::Server {
             class: ErrorClass::NotFound,
             ..
@@ -353,7 +355,7 @@ fn trace_requests_derive_metrics_and_classify_errors() {
             _ => std::thread::sleep(Duration::from_millis(20)),
         }
     }
-    let results = client.results(id).expect("results");
+    let results = client.stream(id).expect("stream");
 
     // The derived metrics carry the schema tag and tie out against the
     // stats the server already returned for the same job.
@@ -515,11 +517,10 @@ fn metrics_reflect_traffic_including_cache_hits() {
     assert_eq!(get("sweeps_completed"), 2);
     assert_eq!(get("jobs_executed"), 4, "first submission executes");
     assert_eq!(get("jobs_cached"), 4, "second submission is cache-served");
-    // `run` waits by streaming: no status polls, no results fetch.
+    // `run` waits by streaming: no status polls.
     assert_eq!(get("requests_submit"), 2);
     assert_eq!(get("requests_stream"), 2);
     assert_eq!(get("requests_status"), 0);
-    assert_eq!(get("requests_results"), 0);
     assert!(get("connections_total") > 0);
     let lat = m.get("latency_micros").unwrap();
     // The in-flight metrics request is counted in requests_total but
@@ -604,13 +605,14 @@ fn stream_attached_mid_run_is_byte_identical_to_results() {
     let streamed = client.stream_raw(id).expect("stream");
 
     assert_eq!(streamed, direct_result_lines(&sweep));
-    assert_eq!(streamed, client.results_raw(id).expect("results"));
+    // A stream of the finished sweep replays the same bytes.
+    assert_eq!(streamed, client.stream_raw(id).expect("second stream"));
     let snapshot = client.metrics().expect("metrics");
     assert_eq!(
         snapshot
             .get("requests_stream")
             .and_then(senss_harness::json::Value::as_u64),
-        Some(1)
+        Some(2)
     );
     server.shutdown();
 }
@@ -774,7 +776,7 @@ fn streams_past_the_write_high_water_mark_finish_and_pipeline() {
         .unwrap();
     let frames = [
         Request::Stream { id }.encode(),
-        Request::Results { id }.encode(),
+        Request::Stream { id }.encode(),
         Request::Ping.encode(),
     ];
     (&conn)
@@ -788,14 +790,12 @@ fn streams_past_the_write_high_water_mark_finish_and_pipeline() {
             .expect("reply before the timeout");
         line.trim_end().to_string()
     };
-    for stream in [true, false] {
+    for _ in 0..2 {
         let header = Response::decode(&next());
-        let expected = if stream {
-            matches!(header, Ok(Response::StreamHeader { jobs: JOBS, .. }))
-        } else {
-            matches!(header, Ok(Response::ResultsHeader { count: JOBS, .. }))
-        };
-        assert!(expected, "unexpected header {header:?}");
+        assert!(
+            matches!(header, Ok(Response::StreamHeader { jobs: JOBS, .. })),
+            "unexpected header {header:?}"
+        );
         for line in &streamed {
             assert_eq!(&next(), line);
         }

@@ -154,6 +154,9 @@ pub fn env_number<T: std::str::FromStr>(
 pub enum JobError {
     /// The job panicked; carries the panic message.
     Panicked(String),
+    /// The job describes no machine the simulator can build
+    /// ([`JobSpec::validate`]); it never ran. Carries the reason.
+    Invalid(&'static str),
     /// The run completed but blew the configured cycle budget.
     CycleBudgetExceeded {
         /// Simulated cycles the run took.
@@ -167,6 +170,7 @@ impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobError::Panicked(msg) => write!(f, "job panicked: {msg}"),
+            JobError::Invalid(why) => write!(f, "invalid job: {why}"),
             JobError::CycleBudgetExceeded { cycles, budget } => {
                 write!(f, "cycle budget exceeded: {cycles} > {budget}")
             }
@@ -430,11 +434,25 @@ impl Harness {
             (None, None) => 0,
         };
 
-        // Partition into cache hits and jobs that must execute.
-        let keys: Vec<String> = sweep.jobs.iter().map(JobSpec::cache_key).collect();
+        // Partition into invalid jobs, which fail here (their cache key
+        // needs the configuration they cannot build), cache hits and jobs
+        // that must execute.
+        let mut failures: Vec<JobFailure> = Vec::new();
+        let mut keys: Vec<String> = Vec::with_capacity(sweep.jobs.len());
         let mut slots: Vec<Option<RunRecord>> = Vec::with_capacity(sweep.jobs.len());
         let mut pending: VecDeque<usize> = VecDeque::new();
         for (index, spec) in sweep.jobs.iter().enumerate() {
+            slots.push(None);
+            if let Err(why) = spec.validate() {
+                failures.push(JobFailure {
+                    index,
+                    spec: *spec,
+                    error: JobError::Invalid(why),
+                });
+                keys.push(String::new());
+                continue;
+            }
+            keys.push(spec.cache_key());
             let hit = cache.as_ref().and_then(|c| c.get(&keys[index]));
             match hit {
                 Some(stats) => {
@@ -448,19 +466,15 @@ impl Harness {
                         cached: true,
                     };
                     on_record(&record);
-                    slots.push(Some(record));
+                    slots[index] = Some(record);
                 }
-                None => {
-                    slots.push(None);
-                    pending.push_back(index);
-                }
+                None => pending.push_back(index),
             }
         }
         drop(cache);
-        let cached = sweep.jobs.len() - pending.len();
         let to_execute = pending.len();
+        let cached = sweep.jobs.len() - to_execute - failures.len();
 
-        let mut failures: Vec<JobFailure> = Vec::new();
         let mut forked = 0usize;
         if !pending.is_empty() {
             let items = if warm_start {

@@ -113,10 +113,11 @@ pub fn encode_spec(spec: &JobSpec) -> Vec<(String, Value)> {
 
 /// Decodes a [`JobSpec`] from an object carrying the
 /// [`encode_spec`] fields. Returns `None` on any missing or
-/// unparseable field — callers treat that as a malformed frame.
+/// unparseable field, or a job that fails [`JobSpec::validate`] —
+/// callers treat that as a malformed frame.
 pub fn decode_spec(obj: &Value) -> Option<JobSpec> {
     let uint = |key: &str| obj.get(key).and_then(Value::as_u64);
-    Some(JobSpec {
+    let spec = JobSpec {
         trace: crate::spec::TraceSpec::from_tag(obj.get("trace")?.as_str()?)?,
         cores: uint("cores")? as usize,
         l2_bytes: uint("l2_bytes")? as usize,
@@ -124,7 +125,9 @@ pub fn decode_spec(obj: &Value) -> Option<JobSpec> {
         mode: crate::spec::SecurityMode::from_tag(obj.get("mode")?.as_str()?)?,
         ops_per_core: uint("ops_per_core")? as usize,
         seed: uint("seed")?,
-    })
+    };
+    spec.validate().ok()?;
+    Some(spec)
 }
 
 /// One job's complete execution record.
@@ -292,6 +295,28 @@ mod tests {
         }
         // A record with a missing field is rejected, not mis-decoded.
         assert_eq!(RunRecord::decode(&json::parse("{}").unwrap()), None);
+    }
+
+    /// Exactly the geometries `SystemConfig::e6000` rejects decode to
+    /// `None`, so no job that would panic in its cache key gets in.
+    #[test]
+    fn specs_the_simulator_cannot_build_are_refused() {
+        let decode = |cores, l2_bytes| {
+            decode_spec(&Value::Obj(encode_spec(&JobSpec::new(
+                Workload::Fft,
+                cores,
+                l2_bytes,
+            ))))
+        };
+        for (cores, l2_bytes) in [(0, 1 << 20), (2, 3 << 20), (2, 32 << 10), (2, 0)] {
+            assert_eq!(decode(cores, l2_bytes), None, "{cores} cores, {l2_bytes} B");
+        }
+        for (cores, l2_bytes) in [(1, 64 << 10), (65, 1 << 20)] {
+            assert!(
+                decode(cores, l2_bytes).is_some(),
+                "{cores} cores, {l2_bytes} B"
+            );
+        }
     }
 
     #[test]

@@ -371,6 +371,14 @@ impl JobSpec {
         self
     }
 
+    /// Why this job describes no machine the simulator can build (no
+    /// cores, or an L2 that is not a power of two >= 64 KiB), if so.
+    /// [`JobSpec::system_config`], [`JobSpec::cache_key`] and every run
+    /// panic on such a job.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        SystemConfig::check_e6000(self.cores, self.l2_bytes)
+    }
+
     /// The materialized architectural configuration.
     pub fn system_config(&self) -> SystemConfig {
         SystemConfig::e6000(self.cores, self.l2_bytes).with_coherence(self.coherence)

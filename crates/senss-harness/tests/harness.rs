@@ -140,6 +140,54 @@ fn a_panicking_job_fails_alone() {
     assert!(result.stats(&sweep.jobs[2]).is_some());
 }
 
+/// A job the simulator cannot build fails as itself, before any runner
+/// sees it (its cache key needs the configuration it lacks); the rest
+/// of the sweep runs, with the cache on and warm-start forking too.
+#[test]
+fn unbuildable_jobs_fail_alone_without_running() {
+    let dir = tmp_dir("unbuildable");
+    let mut sweep = small_sweep("unbuildable");
+    let bad_l2 = JobSpec::new(Workload::Fft, 2, 3 << 20).with_ops(100);
+    let no_cores = JobSpec::new(Workload::Lu, 0, 1 << 20).with_ops(100);
+    sweep.push(bad_l2);
+    sweep.push(no_cores);
+    for warm_start in [false, true] {
+        let cfg = HarnessConfig::hermetic()
+            .with_cache_dir(&dir)
+            .with_warm_start(warm_start);
+        let result = Harness::new(cfg)
+            .run(&sweep)
+            .expect("the run itself succeeds");
+        let failed: Vec<_> = result
+            .failures
+            .iter()
+            .map(|f| (f.spec, f.error.clone()))
+            .collect();
+        assert_eq!(
+            failed,
+            [
+                (
+                    bad_l2,
+                    JobError::Invalid("L2 size must be a power of two >= 64KB")
+                ),
+                (no_cores, JobError::Invalid("need at least one processor")),
+            ]
+        );
+        assert_eq!(result.records.len(), sweep.len() - 2);
+        assert_eq!(result.executed + result.cached, sweep.len() - 2);
+    }
+    let calls = AtomicUsize::new(0);
+    let result = Harness::new(HarnessConfig::hermetic())
+        .run_with(&sweep, |spec| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            synthetic(spec)
+        })
+        .unwrap();
+    assert_eq!(calls.load(Ordering::SeqCst), sweep.len() - 2);
+    assert_eq!(result.failures.len(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cycle_budget_violations_fail_without_retry() {
     let mut sweep = SweepSpec::new("budget");

@@ -232,15 +232,14 @@ fn the_coordinator_applies_its_cycle_budget() {
     server.shutdown();
 }
 
-/// A job `decode_spec` admits but the simulator rejects: 3 MiB is not
-/// a power-of-two L2, so building its system panics.
+/// A job the simulator cannot build: 3 MiB is not a power-of-two L2.
+/// `decode_spec` refuses it, and a harness fails it without running it.
 fn bad_l2_job() -> JobSpec {
     JobSpec::new(Workload::Fft, 2, 3 << 20).with_ops(100)
 }
 
 /// A job that gets a cache key but panics when it runs: the
-/// false-sharing micro-trace is a 2-core scenario. (A bad L2 size
-/// already panics in the cache key, before any runner sees the job.)
+/// false-sharing micro-trace is a 2-core scenario.
 fn bad_trace_job() -> JobSpec {
     JobSpec::new(TraceSpec::FalseSharing, 4, 1 << 20).with_ops(100)
 }
@@ -307,9 +306,12 @@ fn a_worker_answers_bad_lines_and_panics_and_keeps_serving() {
     assert_eq!(error_frame(&next_line()).0, ErrorClass::Malformed);
 
     writeln!(stdin, "{}", spec_line(&bad_l2_job())).unwrap();
+    assert_eq!(error_frame(&next_line()).0, ErrorClass::Malformed);
+
+    writeln!(stdin, "{}", spec_line(&bad_trace_job())).unwrap();
     let (class, message) = error_frame(&next_line());
     assert_eq!(class, ErrorClass::Internal);
-    assert!(message.contains("power of two"), "{message}");
+    assert!(message.contains("2-core scenario"), "{message}");
 
     writeln!(
         stdin,

@@ -559,6 +559,47 @@ fn shutdown_drains_queued_sweeps_before_exit() {
     );
 }
 
+/// A job whose machine the simulator cannot build (3 MiB is not a
+/// power-of-two L2) is refused at `submit`; it must not reach the
+/// executor, which would die computing its cache key and leave the
+/// server unable to run or drain anything.
+#[test]
+fn unbuildable_jobs_are_malformed_and_the_server_keeps_serving() {
+    let server = Server::start(ServerConfig::loopback()).unwrap();
+    let metrics = server.metrics_handle();
+    let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(30));
+    for bad in [
+        JobSpec::new(Workload::Fft, 2, 3 << 20),
+        JobSpec::new(Workload::Fft, 2, 32 << 10),
+        JobSpec::new(Workload::Fft, 0, 1 << 20),
+    ] {
+        let mut sweep = small_sweep("", 5);
+        sweep.push(bad.with_ops(400));
+        match client.submit(&sweep) {
+            Err(ClientError::Server {
+                class: ErrorClass::Malformed,
+                retriable: false,
+                ..
+            }) => {}
+            other => panic!("expected malformed for {bad:?}, got {other:?}"),
+        }
+    }
+
+    let sweep = small_sweep("after-refused", 6);
+    let (id, jobs) = client.submit(&sweep).expect("valid submit");
+    assert_eq!(jobs, sweep.len() as u64);
+    assert_eq!(
+        client.stream_raw(id).expect("stream"),
+        direct_result_lines(&sweep)
+    );
+    let (_, jobs) = client.submit(&small_sweep("drained", 7)).expect("submit");
+    assert_eq!(jobs, 4);
+    client.shutdown().expect("shutdown ack");
+    server.join();
+    assert_eq!(metrics.sweeps_completed.load(Ordering::Relaxed), 2);
+    assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 0);
+}
+
 #[test]
 fn submits_after_shutdown_are_refused() {
     let server = Server::start(ServerConfig::loopback()).unwrap();

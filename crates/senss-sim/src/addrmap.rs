@@ -1,13 +1,15 @@
 //! Allocation-light address-keyed lookup tables for the simulator hot
-//! path: an open-addressing hash map specialized to `u64 -> u64`, and
-//! the L2 sharer-presence index built on it.
+//! path: an open-addressing hash map keyed by line address, and the L2
+//! sharer index built on it.
 //!
 //! `std::collections::HashMap` would work functionally, but its SipHash
 //! default and per-entry layout are measurable on the snoop path; this
-//! map is a pair of flat arrays with a Fibonacci multiply-shift hash,
-//! linear probing, and backward-shift deletion (no tombstones), so a
-//! lookup is a handful of adjacent-word compares and steady-state
-//! operation never allocates.
+//! map is one flat array of `(key, value)` slots with a Fibonacci
+//! multiply-shift hash, linear probing, and backward-shift deletion (no
+//! tombstones), so a lookup is a handful of adjacent-slot compares that
+//! land on its value, and steady-state operation never allocates.
+
+use std::ops::{BitAnd, BitOr, Not, Shl};
 
 /// Sentinel for an empty slot. Line addresses are always aligned (low
 /// bits zero), so `u64::MAX` can never be a real key.
@@ -16,14 +18,16 @@ const EMPTY: u64 = u64::MAX;
 /// Knuth's 64-bit Fibonacci hashing constant.
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// An open-addressing `u64 -> u64` hash map with linear probing.
+/// An open-addressing `u64 -> V` hash map with linear probing.
 ///
-/// Capacity is a power of two; the table grows (doubling) at 3/4 load,
-/// which amortizes to zero once the working set is established.
+/// Keys and values share one slot array, so a probe that finds its key
+/// has its value in the same cache line. Capacity is a power of two;
+/// the table grows (doubling) at 3/4 load, which amortizes to zero once
+/// the working set is established.
 #[derive(Debug, Clone)]
-pub(crate) struct AddrMap {
-    keys: Vec<u64>,
-    vals: Vec<u64>,
+pub(crate) struct AddrMap<V> {
+    /// `(key, value)`; a key of [`EMPTY`] marks a free slot.
+    slots: Vec<(u64, V)>,
     len: usize,
     /// `capacity - 1`; capacity is a power of two.
     mask: usize,
@@ -31,16 +35,15 @@ pub(crate) struct AddrMap {
     shift: u32,
 }
 
-impl AddrMap {
-    pub fn new() -> AddrMap {
+impl<V: Copy + Default> AddrMap<V> {
+    pub fn new() -> AddrMap<V> {
         Self::with_capacity_pow2(64)
     }
 
-    fn with_capacity_pow2(cap: usize) -> AddrMap {
+    fn with_capacity_pow2(cap: usize) -> AddrMap<V> {
         debug_assert!(cap.is_power_of_two());
         AddrMap {
-            keys: vec![EMPTY; cap],
-            vals: vec![0; cap],
+            slots: vec![(EMPTY, V::default()); cap],
             len: 0,
             mask: cap - 1,
             shift: 64 - cap.trailing_zeros(),
@@ -63,7 +66,7 @@ impl AddrMap {
         debug_assert_ne!(key, EMPTY);
         let mut i = self.home(key);
         loop {
-            let k = self.keys[i];
+            let k = self.slots[i].0;
             if k == key {
                 return Some(i);
             }
@@ -74,49 +77,85 @@ impl AddrMap {
         }
     }
 
-    #[inline]
-    pub fn get(&self, key: u64) -> Option<u64> {
-        self.find(key).map(|i| self.vals[i])
+    /// The first free slot on `key`'s probe path (`key` must be absent).
+    fn vacant(&self, key: u64) -> usize {
+        let mut i = self.home(key);
+        while self.slots[i].0 != EMPTY {
+            i = (i + 1) & self.mask;
+        }
+        i
     }
 
-    /// Inserts or overwrites `key`'s value.
-    pub fn set(&mut self, key: u64, val: u64) {
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<V> {
+        self.find(key).map(|i| self.slots[i].1)
+    }
+
+    #[inline]
+    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+        self.find(key).map(|i| &mut self.slots[i].1)
+    }
+
+    /// `key`'s value, inserting `V::default()` first if it is absent:
+    /// a read-modify-write in one probe.
+    pub fn entry(&mut self, key: u64) -> &mut V {
         debug_assert_ne!(key, EMPTY);
-        if (self.len + 1) * 4 > (self.mask + 1) * 3 {
-            self.grow();
-        }
         let mut i = self.home(key);
         loop {
-            let k = self.keys[i];
+            let k = self.slots[i].0;
             if k == key {
-                self.vals[i] = val;
-                return;
+                return &mut self.slots[i].1;
             }
             if k == EMPTY {
-                self.keys[i] = key;
-                self.vals[i] = val;
-                self.len += 1;
-                return;
+                break;
             }
             i = (i + 1) & self.mask;
         }
+        if (self.len + 1) * 4 > (self.mask + 1) * 3 {
+            self.grow();
+            i = self.vacant(key);
+        }
+        self.len += 1;
+        self.slots[i] = (key, V::default());
+        &mut self.slots[i].1
     }
 
-    /// Removes `key`, returning its value. Backward-shift deletion keeps
-    /// every surviving entry reachable from its home slot without
+    /// Inserts or overwrites `key`'s value.
+    pub fn set(&mut self, key: u64, val: V) {
+        *self.entry(key) = val;
+    }
+
+    /// Removes `key`, returning its value.
+    pub fn remove(&mut self, key: u64) -> Option<V> {
+        let i = self.find(key)?;
+        Some(self.remove_at(i))
+    }
+
+    /// Applies `f` to `key`'s value, if present, and removes the entry
+    /// when `f` returns `false`: a read-modify-write in one probe.
+    pub fn update_or_remove(&mut self, key: u64, f: impl FnOnce(&mut V) -> bool) {
+        if let Some(i) = self.find(key) {
+            if !f(&mut self.slots[i].1) {
+                self.remove_at(i);
+            }
+        }
+    }
+
+    /// Empties slot `i`, returning its value. Backward-shift deletion
+    /// keeps every surviving entry reachable from its home slot without
     /// tombstones.
-    pub fn remove(&mut self, key: u64) -> Option<u64> {
-        let mut i = self.find(key)?;
-        let val = self.vals[i];
+    fn remove_at(&mut self, mut i: usize) -> V {
+        let val = self.slots[i].1;
         self.len -= 1;
         let mask = self.mask;
         let mut j = i;
         loop {
             j = (j + 1) & mask;
-            if self.keys[j] == EMPTY {
+            let k = self.slots[j].0;
+            if k == EMPTY {
                 break;
             }
-            let home = self.home(self.keys[j]);
+            let home = self.home(k);
             // Entry `j` may slide into the hole at `i` only if its home
             // slot does not lie cyclically within (i, j] — otherwise the
             // move would strand it before its probe start.
@@ -126,97 +165,224 @@ impl AddrMap {
                 home <= j || i < home
             };
             if !stays {
-                self.keys[i] = self.keys[j];
-                self.vals[i] = self.vals[j];
+                self.slots[i] = self.slots[j];
                 i = j;
             }
         }
-        self.keys[i] = EMPTY;
-        Some(val)
+        self.slots[i].0 = EMPTY;
+        val
     }
 
     fn grow(&mut self) {
         let cap = (self.mask + 1) * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; cap]);
-        let old_vals = std::mem::take(&mut self.vals);
-        self.vals = vec![0; cap];
+        let old = std::mem::replace(&mut self.slots, vec![(EMPTY, V::default()); cap]);
         self.mask = cap - 1;
         self.shift = 64 - cap.trailing_zeros();
-        self.len = 0;
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
+        for (k, v) in old {
             if k != EMPTY {
-                self.set(k, v);
+                let i = self.vacant(k);
+                self.slots[i] = (k, v);
             }
         }
     }
 }
 
-/// L2 sharer-presence index: for every resident line address, a bitmask
-/// of which cores' L2s hold it (bit `p` = core `p`).
+/// The L2s holding one line: bit `p` of `present` is set iff core `p`'s
+/// L2 holds it; bit `p` of `em` iff it holds it Exclusive or Modified.
+/// `em` is always a subset of `present`.
+///
+/// The index stores the masks as `u32` words for systems of up to 32
+/// cores, so a map slot is 16 bytes, and as `u64` words (24-byte slots)
+/// up to 64; queries always answer with `u64` masks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Holders<M = u64> {
+    pub present: M,
+    pub em: M,
+}
+
+/// A mask word of a [`SharerIndex`] entry: `u32` or `u64`.
+pub(crate) trait MaskWord:
+    Copy
+    + Default
+    + From<u8>
+    + Into<u64>
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + Not<Output = Self>
+    + Shl<usize, Output = Self>
+{
+}
+
+impl<M> MaskWord for M where
+    M: Copy
+        + Default
+        + From<u8>
+        + Into<u64>
+        + BitAnd<Output = M>
+        + BitOr<Output = M>
+        + Not<Output = M>
+        + Shl<usize, Output = M>
+{
+}
+
+/// Core `pid`'s bit.
+#[inline]
+fn bit<M: MaskWord>(pid: usize) -> M {
+    M::from(1) << pid
+}
+
+impl<M: MaskWord> Holders<M> {
+    #[inline]
+    fn widen(self) -> Holders {
+        Holders {
+            present: self.present.into(),
+            em: self.em.into(),
+        }
+    }
+}
+
+/// The index's storage, sized by core count.
+#[derive(Debug, Clone)]
+enum Masks {
+    Narrow(AddrMap<Holders<u32>>),
+    Wide(AddrMap<Holders<u64>>),
+    /// More than 64 cores: no index, snoops scan.
+    Off,
+}
+
+/// Runs `$body` with `$m` bound to the live map, whichever its word
+/// size; evaluates to `$off` when the index is disabled.
+macro_rules! with_map {
+    ($masks:expr, $m:ident => $body:expr, $off:expr) => {
+        match $masks {
+            Masks::Narrow($m) => $body,
+            Masks::Wide($m) => $body,
+            Masks::Off => $off,
+        }
+    };
+}
+
+/// L2 sharer index: for every resident line address, which cores' L2s
+/// hold it and which of those hold it in E or M ([`Holders`]).
 ///
 /// # Invariants
 ///
-/// * bit `p` is set for `addr` **iff** `l2[p].peek(addr).is_some()` —
-///   maintained at the three membership-changing sites (`install_l2`'s
-///   insert, its victim eviction, and `snoop_write`'s invalidating
-///   take); MESI state *changes* (degrade, upgrade) never touch it.
-/// * an entry with mask `0` is removed, so the map's length equals the
-///   number of distinct resident line addresses.
+/// * bit `p` of `present` is set for `addr` **iff**
+///   `l2[p].peek(addr).is_some()` — maintained at the three
+///   membership-changing sites (`install_l2`'s insert, its victim
+///   eviction, and `snoop_write`'s invalidating take).
+/// * bit `p` of `em` is set **iff** `l2[p].peek(addr)` is `Exclusive`
+///   or `Modified` — set by `install_l2` (an E/M fill, or its re-upgrade
+///   of a resident line to M), the `Upgrade` grant and `MarkHashDirty`;
+///   cleared by the read-snoop degrade to S and by the two removals.
+///   Silent E→M writes stay inside the mask and never touch it.
+/// * `em` is a mask, not one owner: `MarkHashDirty` makes a hash line M
+///   before its `Upgrade` invalidates the other copies, so a line can be
+///   M in one L2 while S in others (or M in two).
+/// * an entry whose `present` is `0` is removed, so the map's length
+///   equals the number of distinct resident line addresses.
 /// * it is derived state: snapshots never carry it; restore rebuilds it
 ///   from the imported L2 arrays.
 ///
 /// Only maintained for systems of at most 64 cores (one mask word);
-/// larger systems disable it and snoop by scanning every core, exactly
-/// as before.
+/// larger systems disable it and snoop by scanning every core.
 #[derive(Debug, Clone)]
 pub(crate) struct SharerIndex {
-    map: Option<AddrMap>,
+    masks: Masks,
 }
 
 impl SharerIndex {
     pub fn new(num_cores: usize) -> SharerIndex {
         SharerIndex {
-            map: (num_cores <= 64).then(AddrMap::new),
+            masks: match num_cores {
+                0..=32 => Masks::Narrow(AddrMap::new()),
+                33..=64 => Masks::Wide(AddrMap::new()),
+                _ => Masks::Off,
+            },
         }
     }
 
-    /// The sharer mask for `addr`: `Some(0)` means "indexed, no sharers",
-    /// `None` means the index is disabled (> 64 cores) and the caller
-    /// must scan.
+    /// The holders of `addr`: `Some` with empty masks means "indexed,
+    /// no holders", `None` means the index is disabled (> 64 cores) and
+    /// the caller must scan.
     #[inline]
-    pub fn mask(&self, addr: u64) -> Option<u64> {
-        self.map.as_ref().map(|m| m.get(addr).unwrap_or(0))
+    pub fn holders(&self, addr: u64) -> Option<Holders> {
+        with_map!(&self.masks, m => Some(m.get(addr).unwrap_or_default().widen()), None)
     }
 
-    /// Records that core `pid`'s L2 now holds `addr`.
+    /// Records that core `pid`'s L2 now holds `addr`, in E or M if `em`.
     #[inline]
-    pub fn add(&mut self, pid: usize, addr: u64) {
-        if let Some(m) = &mut self.map {
-            let bits = m.get(addr).unwrap_or(0) | 1 << pid;
-            m.set(addr, bits);
-        }
+    pub fn add(&mut self, pid: usize, addr: u64, em: bool) {
+        with_map!(&mut self.masks, m => add(m, pid, addr, em), ())
+    }
+
+    /// Records that core `pid`'s resident copy of `addr` became E or M.
+    #[inline]
+    pub fn set_em(&mut self, pid: usize, addr: u64) {
+        with_map!(&mut self.masks, m => set_em(m, pid, addr), ())
+    }
+
+    /// A read snoop by `pid`: returns the holders of `addr` as they were
+    /// and clears every E/M bit but `pid`'s, since the snoop degrades
+    /// those copies to S.
+    #[inline]
+    pub fn degrade_for_read(&mut self, pid: usize, addr: u64) -> Option<Holders> {
+        with_map!(&mut self.masks, m => Some(degrade_for_read(m, pid, addr)), None)
     }
 
     /// Records that core `pid`'s L2 dropped `addr`.
     #[inline]
     pub fn remove(&mut self, pid: usize, addr: u64) {
-        if let Some(m) = &mut self.map {
-            if let Some(bits) = m.get(addr) {
-                let bits = bits & !(1 << pid);
-                if bits == 0 {
-                    m.remove(addr);
-                } else {
-                    m.set(addr, bits);
-                }
-            }
-        }
+        with_map!(&mut self.masks, m => remove(m, pid, addr), ())
     }
 
     /// Number of distinct indexed line addresses (tests).
     #[cfg(test)]
     pub fn indexed_lines(&self) -> Option<usize> {
-        self.map.as_ref().map(AddrMap::len)
+        with_map!(&self.masks, m => Some(m.len()), None)
     }
+}
+
+#[inline]
+fn add<M: MaskWord>(m: &mut AddrMap<Holders<M>>, pid: usize, addr: u64, em: bool) {
+    let h = m.entry(addr);
+    h.present = h.present | bit(pid);
+    if em {
+        h.em = h.em | bit(pid);
+    }
+}
+
+#[inline]
+fn set_em<M: MaskWord>(m: &mut AddrMap<Holders<M>>, pid: usize, addr: u64) {
+    let h = m.get_mut(addr);
+    debug_assert!(
+        h.as_ref().is_some_and(|h| h.present.into() & 1 << pid != 0),
+        "core {pid} gains E/M on {addr:#x} without holding it"
+    );
+    if let Some(h) = h {
+        h.em = h.em | bit(pid);
+    }
+}
+
+#[inline]
+fn degrade_for_read<M: MaskWord>(m: &mut AddrMap<Holders<M>>, pid: usize, addr: u64) -> Holders {
+    match m.get_mut(addr) {
+        Some(h) => {
+            let before = h.widen();
+            h.em = h.em & bit(pid);
+            before
+        }
+        None => Holders::default(),
+    }
+}
+
+#[inline]
+fn remove<M: MaskWord>(m: &mut AddrMap<Holders<M>>, pid: usize, addr: u64) {
+    m.update_or_remove(addr, |h| {
+        h.present = h.present & !bit::<M>(pid);
+        h.em = h.em & !bit::<M>(pid);
+        h.present.into() != 0
+    });
 }
 
 /// Lines with a blocking fill/upgrade in flight: `(addr, completion
@@ -234,7 +400,7 @@ impl SharerIndex {
 pub(crate) struct InflightLines {
     entries: Vec<(u64, u64)>,
     /// addr -> index into `entries`.
-    index: AddrMap,
+    index: AddrMap<u64>,
 }
 
 impl InflightLines {
@@ -368,24 +534,90 @@ mod tests {
     #[test]
     fn sharer_index_tracks_bits_and_drops_empty_entries() {
         let mut idx = SharerIndex::new(8);
-        assert_eq!(idx.mask(0x1000), Some(0));
-        idx.add(3, 0x1000);
-        idx.add(5, 0x1000);
-        assert_eq!(idx.mask(0x1000), Some(1 << 3 | 1 << 5));
+        let holders = |present, em| Some(Holders { present, em });
+        assert_eq!(idx.holders(0x1000), holders(0, 0));
+        idx.add(3, 0x1000, true);
+        idx.add(5, 0x1000, false);
+        assert_eq!(idx.holders(0x1000), holders(1 << 3 | 1 << 5, 1 << 3));
         idx.remove(3, 0x1000);
-        assert_eq!(idx.mask(0x1000), Some(1 << 5));
+        assert_eq!(idx.holders(0x1000), holders(1 << 5, 0));
+        idx.set_em(5, 0x1000);
+        assert_eq!(idx.holders(0x1000), holders(1 << 5, 1 << 5));
         idx.remove(5, 0x1000);
-        assert_eq!(idx.mask(0x1000), Some(0));
+        assert_eq!(idx.holders(0x1000), holders(0, 0));
         assert_eq!(idx.indexed_lines(), Some(0), "empty masks are evicted");
         // Removing an absent (pid, addr) is a no-op, not a panic.
         idx.remove(2, 0x2000);
     }
 
+    /// A read snoop reports the holders as they were and leaves only the
+    /// requester's own E/M bit standing.
     #[test]
-    fn sharer_index_disabled_beyond_64_cores() {
-        let mut idx = SharerIndex::new(65);
-        idx.add(64, 0x1000);
-        assert_eq!(idx.mask(0x1000), None, "callers must fall back to scanning");
+    fn read_snoop_degrades_every_other_em_holder() {
+        let mut idx = SharerIndex::new(8);
+        for (pid, em) in [(1, true), (2, false), (6, true), (7, true)] {
+            idx.add(pid, 0x40, em);
+        }
+        let before = Holders {
+            present: 1 << 1 | 1 << 2 | 1 << 6 | 1 << 7,
+            em: 1 << 1 | 1 << 6 | 1 << 7,
+        };
+        assert_eq!(idx.degrade_for_read(7, 0x40), Some(before));
+        assert_eq!(
+            idx.holders(0x40),
+            Some(Holders {
+                present: before.present,
+                em: 1 << 7
+            })
+        );
+        assert_eq!(idx.degrade_for_read(0, 0x80), Some(Holders::default()));
+        assert_eq!(
+            idx.indexed_lines(),
+            Some(1),
+            "a snoop of a miss adds nothing"
+        );
+    }
+
+    /// The index covers every core up to 64, E/M bits included, across
+    /// the switch from `u32` to `u64` words after 32 cores; a 65-core
+    /// system disables it and every query says "scan".
+    #[test]
+    fn sharer_index_enabled_at_64_cores_disabled_at_65() {
+        for cores in [32, 33, 64] {
+            let mut idx = SharerIndex::new(cores);
+            let top_pid = cores - 1;
+            let top = 1u64 << top_pid;
+            idx.add(top_pid, 0x1000, true);
+            idx.add(0, 0x1000, false);
+            assert_eq!(
+                idx.holders(0x1000),
+                Some(Holders {
+                    present: top | 1,
+                    em: top
+                }),
+                "{cores} cores"
+            );
+            assert_eq!(
+                idx.degrade_for_read(0, 0x1000).map(|h| h.em),
+                Some(top),
+                "core {top_pid}'s E/M bit is visible to a read snoop"
+            );
+            assert_eq!(idx.holders(0x1000).map(|h| h.em), Some(0));
+            idx.set_em(top_pid, 0x1000);
+            idx.remove(top_pid, 0x1000);
+            assert_eq!(idx.holders(0x1000), Some(Holders { present: 1, em: 0 }));
+        }
+
+        let mut wide = SharerIndex::new(65);
+        wide.add(64, 0x1000, true);
+        wide.set_em(64, 0x1000);
+        assert_eq!(
+            wide.holders(0x1000),
+            None,
+            "callers must fall back to scanning"
+        );
+        assert_eq!(wide.degrade_for_read(0, 0x1000), None);
+        assert_eq!(wide.indexed_lines(), None);
     }
 
     /// The indexed in-flight table must reproduce the *entry order* of

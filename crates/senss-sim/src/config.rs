@@ -71,11 +71,9 @@ impl SystemConfig {
     /// Panics if `num_processors` is zero or `l2_size` is not a power of
     /// two at least 64 KB.
     pub fn e6000(num_processors: usize, l2_size: usize) -> SystemConfig {
-        assert!(num_processors > 0, "need at least one processor");
-        assert!(
-            l2_size.is_power_of_two() && l2_size >= (64 << 10),
-            "L2 size must be a power of two >= 64KB"
-        );
+        if let Err(why) = SystemConfig::check_e6000(num_processors, l2_size) {
+            panic!("{why}");
+        }
         SystemConfig {
             num_processors,
             l1_size: 64 << 10,
@@ -94,6 +92,18 @@ impl SystemConfig {
             hash_latency: 160,
             coherence: CoherenceProtocol::WriteInvalidate,
         }
+    }
+
+    /// Why [`SystemConfig::e6000`] would reject `num_processors` and
+    /// `l2_size`, if it would.
+    pub fn check_e6000(num_processors: usize, l2_size: usize) -> Result<(), &'static str> {
+        if num_processors == 0 {
+            return Err("need at least one processor");
+        }
+        if !(l2_size.is_power_of_two() && l2_size >= (64 << 10)) {
+            return Err("L2 size must be a power of two >= 64KB");
+        }
+        Ok(())
     }
 
     /// Switches the shared-line write protocol (the `coherence_protocols`

@@ -118,8 +118,9 @@ struct TxnSlot {
 ///   buffers through a spare pool,
 /// * in-flight line tracking keeps its snapshot-visible vec order but
 ///   carries an address-indexed side table for O(1) conflict checks,
-/// * snoops consult the L2 sharer-presence index and visit only actual
-///   sharers instead of scanning every core,
+/// * snoops consult the L2 sharer index instead of scanning every core:
+///   a write snoop visits every holder, a read snoop only the E/M
+///   holders (a Shared copy is unchanged by a read),
 /// * the event queue packs `(time, seq, event)` into one `u128`, so a
 ///   heap compare is one wide integer compare.
 pub struct System<E, S = NullSink> {
@@ -128,9 +129,10 @@ pub struct System<E, S = NullSink> {
     cores: Vec<Core>,
     l1: Vec<SetAssocCache<L1Meta>>,
     l2: Vec<SetAssocCache<MesiState>>,
-    /// Which cores' L2s hold each line (derived from `l2`, never
-    /// snapshotted): snoops visit only the set bits instead of scanning
-    /// every core. See [`SharerIndex`] for the invariants.
+    /// Which cores' L2s hold each line, and which hold it E/M (derived
+    /// from `l2`, never snapshotted): snoops visit only the cores they
+    /// can change instead of scanning every core. See [`SharerIndex`]
+    /// for the invariants.
     sharers: SharerIndex,
     arbiter: Arbiter,
     ext: E,
@@ -618,12 +620,12 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 c
             })
             .collect();
-        // The sharer-presence index is derived, not snapshotted: rebuild
-        // it from the restored L2 contents.
+        // The sharer index is derived, not snapshotted: rebuild it from
+        // the restored L2 contents.
         let mut sharers = SharerIndex::new(n);
         for (pid, cache) in l2.iter().enumerate() {
-            for (addr, _) in cache.iter() {
-                sharers.add(pid, addr);
+            for (addr, state) in cache.iter() {
+                sharers.add(pid, addr, state.can_write());
             }
         }
         let mut arbiter = Arbiter::new(n);
@@ -954,6 +956,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 self.snoop_write(req.pid, req.addr, now);
                 if let Some(state) = self.l2[req.pid].peek_mut(req.addr) {
                     let old = std::mem::replace(state, MesiState::Modified);
+                    self.sharers.set_em(req.pid, req.addr);
                     if self.sink.enabled() && old != MesiState::Modified {
                         self.sink.emit(TraceEvent::MesiTransition {
                             time: now,
@@ -1087,47 +1090,65 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     /// Snoops a read of `addr` by `pid`: degrades remote copies, picks the
     /// supplier, and reports whether any other cache keeps a copy.
     ///
-    /// With the presence index live, only cores whose bit is set are
-    /// visited (ascending pid order, matching the scan it replaces, so
-    /// trace emission order is unchanged); otherwise every core is
-    /// scanned as before.
+    /// With the index live, only the E/M holders are visited (ascending
+    /// pid order, matching the scan it replaces, so trace emission order
+    /// is unchanged): a Shared copy stays Shared, supplies nothing and
+    /// emits nothing, so visiting it is dead work. Whether others keep a
+    /// copy comes from the presence mask. Above 64 cores every core is
+    /// scanned.
     fn snoop_read(&mut self, pid: usize, addr: u64, now: u64) -> (Supplier, bool) {
         let mut supplier = Supplier::Memory;
-        let mut sharers = false;
-        match self.sharers.mask(addr) {
-            Some(mask) => {
-                let mut bits = mask & !(1u64 << pid);
+        match self.sharers.degrade_for_read(pid, addr) {
+            Some(holders) => {
+                let others = !(1u64 << pid);
+                #[cfg(debug_assertions)]
+                self.debug_check_read_snoop(addr, holders.present & others, holders.em & others);
+                let mut bits = holders.em & others;
                 while bits != 0 {
                     let other = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    self.snoop_read_one(other, addr, now, &mut supplier, &mut sharers);
+                    self.snoop_read_one(other, addr, now, &mut supplier);
                 }
+                (supplier, holders.present & others != 0)
             }
             None => {
+                let mut sharers = false;
                 for other in 0..self.cores.len() {
                     if other != pid {
-                        self.snoop_read_one(other, addr, now, &mut supplier, &mut sharers);
+                        sharers |= self.snoop_read_one(other, addr, now, &mut supplier);
                     }
                 }
+                (supplier, sharers)
             }
         }
-        (supplier, sharers)
     }
 
+    /// Every remote holder a read snoop visits is E/M and every one it
+    /// skips is Shared, so the filter changes no outcome.
+    #[cfg(debug_assertions)]
+    fn debug_check_read_snoop(&self, addr: u64, present: u64, em: u64) {
+        for other in (0..64).filter(|&p| present & 1 << p != 0) {
+            let state = self.l2[other].peek(addr).copied();
+            let exclusive = em & 1 << other != 0;
+            assert!(
+                state.is_some_and(|s| s.can_write() == exclusive),
+                "read snoop of {addr:#x}: index has core {other} {}, its L2 has {state:?}",
+                if exclusive { "E/M" } else { "Shared" },
+            );
+        }
+    }
+
+    /// Applies a remote read to core `other`'s copy of `addr`; returns
+    /// whether it holds one.
     fn snoop_read_one(
         &mut self,
         other: usize,
         addr: u64,
         now: u64,
         supplier: &mut Supplier,
-        sharers: &mut bool,
-    ) {
+    ) -> bool {
         let Some(state) = self.l2[other].peek(addr).copied() else {
-            debug_assert!(
-                self.sharers.mask(addr).is_none(),
-                "presence index lists core {other} for {addr:#x} but its L2 misses"
-            );
-            return;
+            return false;
         };
         if state.must_supply() {
             *supplier = Supplier::Cache(other);
@@ -1145,7 +1166,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 to: next.into(),
             });
         }
-        *sharers = true;
+        true
     }
 
     /// Snoops a write (RdX/Upgrade) of `addr` by `pid`: invalidates remote
@@ -1153,9 +1174,9 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     /// [`System::snoop_read`].
     fn snoop_write(&mut self, pid: usize, addr: u64, now: u64) -> Supplier {
         let mut supplier = Supplier::Memory;
-        match self.sharers.mask(addr) {
-            Some(mask) => {
-                let mut bits = mask & !(1u64 << pid);
+        match self.sharers.holders(addr) {
+            Some(holders) => {
+                let mut bits = holders.present & !(1u64 << pid);
                 while bits != 0 {
                     let other = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
@@ -1176,7 +1197,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     fn snoop_write_one(&mut self, other: usize, addr: u64, now: u64, supplier: &mut Supplier) {
         let Some(state) = self.l2[other].take(addr) else {
             debug_assert!(
-                self.sharers.mask(addr).is_none(),
+                self.sharers.holders(addr).is_none(),
                 "presence index lists core {other} for {addr:#x} but its L2 misses"
             );
             return;
@@ -1206,6 +1227,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             let cur = self.l2[pid].peek_mut(addr).expect("present");
             if state == MesiState::Modified {
                 let old = std::mem::replace(cur, state);
+                self.sharers.set_em(pid, addr);
                 if self.sink.enabled() && old != state {
                     self.sink.emit(TraceEvent::MesiTransition {
                         time: now,
@@ -1227,7 +1249,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 to: state.into(),
             });
         }
-        self.sharers.add(pid, addr);
+        self.sharers.add(pid, addr, state.can_write());
         if let Some((victim_addr, victim_state)) = self.l2[pid].insert(addr, state) {
             self.sharers.remove(pid, victim_addr);
             self.invalidate_l1_sublines(pid, victim_addr);
@@ -1582,8 +1604,11 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                     match self.l2[chain.pid].peek(addr).copied() {
                         Some(MesiState::Shared) => {
                             // Needs an invalidation broadcast; fire-and-forget.
+                            // Until it is granted the line is M here while
+                            // other L2s may still hold it S.
                             *self.l2[chain.pid].peek_mut(addr).expect("present") =
                                 MesiState::Modified;
+                            self.sharers.set_em(chain.pid, addr);
                             let token = self.token(Purpose::FireAndForget);
                             let req = BusRequest {
                                 pid: chain.pid,
@@ -2307,21 +2332,25 @@ mod tests {
         assert_eq!(at(MesiPoint::Shared, MesiPoint::Modified), 1);
     }
 
-    /// Brute-force oracle for the sharer-presence index: recompute every
-    /// line's mask by scanning all L2s and compare, then check the index
-    /// holds no stale entries.
+    /// Brute-force oracle for the sharer index: recompute every line's
+    /// presence and E/M masks by scanning all L2s and compare, then check
+    /// the index holds no stale entries.
     fn assert_sharers_match_brute_force<E: Extension, S: TraceSink>(sys: &System<E, S>) {
-        let mut expected: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        use crate::addrmap::Holders;
+        let mut expected: std::collections::HashMap<u64, Holders> =
+            std::collections::HashMap::new();
         for (pid, cache) in sys.l2.iter().enumerate() {
-            for (addr, _) in cache.iter() {
-                *expected.entry(addr).or_insert(0) |= 1 << pid;
+            for (addr, state) in cache.iter() {
+                let h = expected.entry(addr).or_default();
+                h.present |= 1 << pid;
+                h.em |= (state.can_write() as u64) << pid;
             }
         }
-        for (&addr, &mask) in &expected {
+        for (&addr, &holders) in &expected {
             assert_eq!(
-                sys.sharers.mask(addr),
-                Some(mask),
-                "presence index disagrees with L2 scan at {addr:#x}"
+                sys.sharers.holders(addr),
+                Some(holders),
+                "sharer index disagrees with L2 scan at {addr:#x}"
             );
         }
         assert_eq!(
@@ -2341,11 +2370,16 @@ mod tests {
         use senss_crypto::rng::SplitMix64;
         let mut rng = SplitMix64::new(0x5EA);
         for round in 0..16u64 {
-            let n = [2, 3, 4, 8][(round % 4) as usize];
-            let config = if round % 5 == 0 {
-                cfg(n).with_coherence(CoherenceProtocol::WriteUpdate)
+            // 40 cores exercises the index's `u64` mask words; their
+            // 64 KiB L2s keep the brute-force scans cheap and still map
+            // the hot pool to one set.
+            let n = [2, 3, 4, 8, 40][(round % 5) as usize];
+            let l2 = if n > 32 { 64 << 10 } else { 1 << 20 };
+            let config = SystemConfig::e6000(n, l2);
+            let config = if round % 4 == 0 {
+                config.with_coherence(CoherenceProtocol::WriteUpdate)
             } else {
-                cfg(n)
+                config
             };
             // 1 MB 4-way L2 with 64B lines: set stride is 256 KiB, so
             // the hot pool's 12 tags all collide in set 0 and evict
@@ -2391,6 +2425,79 @@ mod tests {
         }
     }
 
+    /// `MarkHashDirty` makes a hash line M before its `Upgrade` is
+    /// granted, so for a while it is M in one L2 and S in another. A third
+    /// core's read in that window must be supplied by the M holder and
+    /// leave both copies S, exactly as the full scan (the index disabled)
+    /// does.
+    #[test]
+    fn read_in_mark_hash_dirty_window_is_supplied_by_the_m_holder() {
+        const H: u64 = 1 << 47; // first line of the hash region
+        let window = |indexed: bool| {
+            // Cores 0 and 1 read H, which leaves it S in both L2s.
+            let traces = vec![
+                VecTrace::new(vec![Op::read(0, H)]),
+                VecTrace::new(vec![Op::read(300, H)]),
+                VecTrace::new(vec![Op::read(0, 0x1000)]),
+            ];
+            let mut sys = System::new(cfg(3), traces, NullExtension);
+            if !indexed {
+                sys.sharers = SharerIndex::new(65);
+            }
+            sys.run();
+            let now = sys.stats.total_cycles;
+            let mut steps = sys.take_steps_buf();
+            steps.push_back(Step::MarkHashDirty(H));
+            sys.start_chain(0, steps, false, now);
+            assert_eq!(sys.l2[0].peek(H), Some(&MesiState::Modified));
+            assert_eq!(sys.l2[1].peek(H), Some(&MesiState::Shared));
+            if indexed {
+                assert_sharers_match_brute_force(&sys);
+            }
+            let outcome = sys.snoop_read(2, H, now);
+            let states = [sys.l2[0].peek(H).copied(), sys.l2[1].peek(H).copied()];
+            if indexed {
+                assert_sharers_match_brute_force(&sys);
+            }
+            // The queued Upgrade still completes and invalidates core 1.
+            sys.finish();
+            if indexed {
+                assert_sharers_match_brute_force(&sys);
+            }
+            (
+                outcome,
+                states,
+                sys.l2[0].peek(H).copied(),
+                sys.l2[1].peek(H).copied(),
+            )
+        };
+        let indexed = window(true);
+        assert_eq!(indexed.0, (Supplier::Cache(0), true));
+        assert_eq!(indexed.1, [Some(MesiState::Shared); 2]);
+        assert_eq!(indexed.2, Some(MesiState::Modified));
+        assert_eq!(indexed.3, None);
+        assert_eq!(indexed, window(false), "index and full scan disagree");
+    }
+
+    /// A write fill granted for a line its requester already holds S
+    /// (a chain installed it between request and grant) re-upgrades the
+    /// resident copy to M; the index must record the new E/M holder.
+    #[test]
+    fn write_fill_over_a_resident_shared_line_records_the_m_holder() {
+        let traces = vec![
+            VecTrace::new(vec![Op::read(0, 0x1000)]),
+            VecTrace::new(vec![Op::read(300, 0x1000)]),
+        ];
+        let mut sys = System::new(cfg(2), traces, NullExtension);
+        sys.run();
+        let now = sys.stats.total_cycles;
+        sys.snoop_write(0, 0x1000, now);
+        assert_eq!(sys.l2[0].peek(0x1000), Some(&MesiState::Shared));
+        sys.install_l2(0, 0x1000, MesiState::fill_for_write(), now);
+        assert_eq!(sys.l2[0].peek(0x1000), Some(&MesiState::Modified));
+        assert_sharers_match_brute_force(&sys);
+    }
+
     /// Above 64 cores the index is disabled and snoops fall back to the
     /// full scan; coherence results must be unchanged.
     #[test]
@@ -2407,7 +2514,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let mut sys = System::new(cfg(n), mk_traces(), NullExtension);
-        assert_eq!(sys.sharers.mask(0x1000), None, "index must be disabled");
+        assert_eq!(sys.sharers.holders(0x1000), None, "index must be disabled");
         let stats = sys.run();
         assert_eq!(stats.ops_executed, 2 * n as u64);
         // Every write invalidates the other copies, so upgrades and
